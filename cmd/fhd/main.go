@@ -5,7 +5,7 @@
 // Usage:
 //
 //	fhd -procs P1,P2,... [-addr HOST:PORT] [-sched NAME]
-//	    [-quota N] [-quotas tenant=N,...] [-nofair] [-workers N]
+//	    [-quota N] [-quotas tenant=N,...] [-nofair]
 //	    [-wal DIR] [-fsync always|batch|off] [-maxbacklog N]
 //	    [-mttf F -mttr F -horizon T [-retries N] [-faultseed S]]
 //	fhd -procs P1,P2,... -replay trace.jsonl [-noaudit]
@@ -26,7 +26,7 @@
 // fhgen -arrivals) through a fresh core, audits the resulting stream
 // with the independent verifier, prints the per-tenant summary and the
 // canonical replay fingerprint, and exits. The fingerprint is
-// bit-identical across runs, worker counts and server restarts — CI
+// bit-identical across runs and server restarts — CI
 // replays the same trace twice and compares, and the crash-recovery
 // smoke SIGKILLs a serving fhd mid-trace and diffs fingerprints after
 // restart.
@@ -77,7 +77,6 @@ func main() {
 		quota      = flag.Int("quota", 0, "default per-tenant admission quota (0 = unlimited)")
 		quotasSpec = flag.String("quotas", "", "per-tenant quota overrides, e.g. acme=2,blob=1")
 		nofair     = flag.Bool("nofair", false, "disable deterministic fair share (FIFO within priority)")
-		workers    = flag.Int("workers", 1, "parallel scoring workers (never changes outcomes)")
 		maxBacklog = flag.Int("maxbacklog", 0, "shed submits once this many tasks are queued or running (0 = unbounded)")
 		walDir     = flag.String("wal", "", "serve mode: write-ahead log directory (empty = no durability)")
 		fsyncName  = flag.String("fsync", "batch", "WAL fsync policy: always, batch or off")
@@ -112,7 +111,6 @@ func main() {
 		DefaultQuota:    *quota,
 		Quotas:          quotas,
 		NoFairShare:     *nofair,
-		Workers:         *workers,
 		MaxBacklogTasks: *maxBacklog,
 		Obs:             obs.NewTracer(),
 		Metrics:         obs.NewRegistry(),

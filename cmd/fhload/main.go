@@ -11,7 +11,7 @@
 //	       [-jobs N] [-seed S] [-mean-gap G] [-tenants acme:2,blob:1]
 //	       [-cancel F] [-priorities P] [-scale small|medium]
 //	       [-alpha A] [-period P] [-amplitude A] [-burstfactor B] [-duty D]
-//	       [-sched MQB|KGreedy] [-workers W] [-quota N] [-quotas t=N,...]
+//	       [-sched MQB|KGreedy] [-quota N] [-quotas t=N,...]
 //	       [-nofair] [-maxbacklog N]
 //	       [-mttf F -mttr R -horizon H [-retries N] [-faultseed S]]
 //	       [-slo tenant=budget[:target],...] [-url http://host:port]
@@ -19,13 +19,13 @@
 //
 // Every latency in the report is simulated time, so reports are
 // bit-deterministic: identical seed, shape and machine produce
-// identical fingerprints on any host, for any -workers value, and in
-// both drive modes. -trace replays a recorded arrival trace (fhgen
-// -arrivals JSONL) instead of synthesizing one.
+// identical fingerprints on any host and in both drive modes. -trace
+// replays a recorded arrival trace (fhgen -arrivals JSONL) instead of
+// synthesizing one.
 //
 // The short CI soak pins an entire workload under one name:
 //
-//	fhload -soak ci [-url ...] [-workers W] [-out SLO_ci.json]
+//	fhload -soak ci [-url ...] [-out SLO_ci.json]
 //
 // Compare (exits 2 on a regression beyond the gate or a workload
 // mismatch; wall-clock throughput is reported but never gated):
@@ -76,7 +76,6 @@ func main() {
 		burstFac   = flag.Float64("burstfactor", 0, "burst: flash-crowd rate multiplier (0 = default 6)")
 		duty       = flag.Float64("duty", 0, "burst: fraction of each period at the burst rate (0 = default 0.1)")
 		schedName  = flag.String("sched", "", "scheduler name (MQB or KGreedy; empty = MQB)")
-		workers    = flag.Int("workers", 1, "client/scoring workers (never changes outcomes)")
 		quota      = flag.Int("quota", 0, "default per-tenant admission quota (0 = unlimited)")
 		quotasSpec = flag.String("quotas", "", "per-tenant quota overrides, e.g. acme=2,blob=1")
 		nofair     = flag.Bool("nofair", false, "disable deterministic fair share")
@@ -152,7 +151,6 @@ func main() {
 	}
 	cfg := load.RunConfig{
 		Scheduler:       *schedName,
-		Workers:         *workers,
 		DefaultQuota:    *quota,
 		Quotas:          quotas,
 		NoFairShare:     *nofair,
@@ -169,7 +167,7 @@ func main() {
 		}
 		// The ci soak pins the entire workload — any flag that would
 		// change outcomes is overridden, so one committed SLO_CI.json
-		// gates every runner. Mode flags (-url, -workers, -noaudit,
+		// gates every runner. Mode flags (-url, -noaudit,
 		// -out) stay free because they never change outcomes.
 		tc, cfg.SLOs = load.CISoak()
 		cfg.Scheduler = ""

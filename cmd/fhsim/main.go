@@ -3,7 +3,7 @@
 // Usage:
 //
 //	fhsim [-figure 4|5|6|7|8|faults|all] [-faults] [-instances N]
-//	      [-seed S] [-workers W] [-shards P] [-csv FILE] [-svg DIR]
+//	      [-seed S] [-workers W] [-csv FILE] [-svg DIR]
 //	      [-match SUBSTR] [-quiet] [-verify] [-trace FILE] [-chrome FILE]
 //	      [-metrics FILE]
 //
@@ -24,12 +24,6 @@
 // trace_event form (load it at chrome://tracing or ui.perfetto.dev).
 // -metrics aggregates harness and engine counters over the whole run
 // into a Prometheus-style text dump.
-//
-// -shards P runs every simulation on the sharded optimistic scheduling
-// engine (internal/shard) with P scheduler goroutines. The sharded
-// engine is bit-identical to the sequential one, so all tables match a
-// -shards 0 run; preemptive and fault panels fall back to the
-// sequential engine, which they require.
 package main
 
 import (
@@ -153,7 +147,6 @@ func main() {
 		instances = flag.Int("instances", 1000, "job instances per plotted point (paper: 5000)")
 		seed      = flag.Int64("seed", 1, "root random seed")
 		workers   = flag.Int("workers", 0, "parallel workers (0 = all cores)")
-		shards    = flag.Int("shards", 0, "scheduler goroutines per simulation on the sharded engine (0 = sequential engine)")
 		csvPath   = flag.String("csv", "", "also write results as CSV to this file")
 		match     = flag.String("match", "", "only run panels whose name contains this substring")
 		svgDir    = flag.String("svg", "", "also write one SVG chart per panel (and per sweep) to this directory")
@@ -187,7 +180,7 @@ func main() {
 		names = []string{*figure}
 	}
 
-	opts := exp.Options{Instances: *instances, Seed: *seed, Workers: *workers, Paranoid: *paranoid, Shards: *shards}
+	opts := exp.Options{Instances: *instances, Seed: *seed, Workers: *workers, Paranoid: *paranoid}
 	var tracer *obs.Tracer
 	if *tracePath != "" {
 		tracer = obs.NewTracer()

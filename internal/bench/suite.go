@@ -13,8 +13,7 @@ import (
 
 // Suite returns the named benchmark suite in execution order. Names
 // are stable identifiers — the comparator matches on them — grouped as
-// engine/* (one full simulation per op), shard/* (the sharded
-// optimistic engine at increasing shard counts), core/* (scheduler hot paths),
+// engine/* (one full simulation per op), core/* (scheduler hot paths),
 // dag/* and workload/* (lookahead computation and generation), exp/*
 // (figure-scale harness runs, reporting instances/sec) and sim/*
 // (auditing overhead).
@@ -27,9 +26,6 @@ func Suite() []Benchmark {
 		{Name: "engine/p/kgreedy-ir", Setup: engineBench("KGreedy", workload.IR, true, false)},
 		{Name: "engine/p/mqb-ir", Setup: engineBench("MQB", workload.IR, true, false)},
 		{Name: "sim/paranoid/mqb-ir", Setup: engineBench("MQB", workload.IR, false, true)},
-		{Name: "shard/engine-1", Setup: shardEngineBench(1)},
-		{Name: "shard/engine-4", Setup: shardEngineBench(4)},
-		{Name: "shard/engine-16", Setup: shardEngineBench(16)},
 		{Name: "service/replay-mqb", Setup: serviceReplayBench("MQB")},
 		{Name: "service/replay-kgreedy", Setup: serviceReplayBench("KGreedy")},
 		{Name: "service/wal-append", Setup: walAppendBench},

@@ -34,12 +34,6 @@ func (k *KGreedy) Prepare(_ *dag.Graph, cfg sim.Config) error {
 	return nil
 }
 
-// PickIsLocal declares KGreedy's pick footprint to the sharded engine
-// (fhs/internal/shard.LocalPicker, matched structurally): Pick reads
-// only the requested type's queue, so sharded speculation for KGreedy
-// commits conflict-free across all K types in parallel.
-func (*KGreedy) PickIsLocal() {}
-
 // Pick implements sim.Scheduler: first-in, first-out per type.
 func (k *KGreedy) Pick(st *sim.State, alpha dag.Type) (dag.TaskID, bool) {
 	q := st.Ready(alpha)

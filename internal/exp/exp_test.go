@@ -8,7 +8,6 @@ import (
 	"testing"
 
 	"fhs/internal/core"
-	"fhs/internal/fault"
 	"fhs/internal/workload"
 )
 
@@ -132,48 +131,6 @@ func TestRunBitIdenticalAcrossWorkerCounts(t *testing.T) {
 	}
 	if !reflect.DeepEqual(serial, parallel) {
 		t.Errorf("tables differ across worker counts:\nserial:   %+v\nparallel: %+v", serial, parallel)
-	}
-}
-
-func TestRunShardedBitIdentical(t *testing.T) {
-	// A Shards > 0 spec runs every simulation on the sharded optimistic
-	// engine; the whole Table — including randomized information models
-	// — must be bit-identical to the sequential engine's.
-	spec := tinySpec("seq", 2)
-	spec.Schedulers = []string{"KGreedy", "MQB", "MQB+All+Noise"}
-	seq, err := Run(spec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	spec.Name = "sharded"
-	spec.Shards = 4
-	sharded, err := Run(spec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	seq.Name = sharded.Name
-	if !reflect.DeepEqual(seq, sharded) {
-		t.Errorf("sharded tables differ from sequential:\nseq:     %+v\nsharded: %+v", seq, sharded)
-	}
-}
-
-func TestShardedSpecValidation(t *testing.T) {
-	bad := tinySpec("negative shards", 1)
-	bad.Shards = -1
-	if err := bad.Validate(); err == nil {
-		t.Error("accepted negative Shards")
-	}
-	bad = tinySpec("sharded preemptive", 1)
-	bad.Shards = 2
-	bad.Preemptive = true
-	if err := bad.Validate(); err == nil {
-		t.Error("accepted Shards with Preemptive")
-	}
-	bad = tinySpec("sharded faults", 1)
-	bad.Shards = 2
-	bad.Faults = &fault.Config{FailureProb: 0.1, MaxRetries: 4}
-	if err := bad.Validate(); err == nil {
-		t.Error("accepted Shards with active Faults")
 	}
 }
 

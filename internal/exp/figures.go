@@ -21,12 +21,6 @@ type Options struct {
 	Workers   int
 	// Paranoid audits every simulated schedule (see Spec.Paranoid).
 	Paranoid bool
-	// Shards runs the panels on the sharded optimistic engine (see
-	// Spec.Shards). Presets that need an engine feature the sharded
-	// engine lacks — preemption, fault injection — fall back to the
-	// sequential engine for those panels; results are identical either
-	// way.
-	Shards int
 }
 
 func (o Options) fillDefaults() Options {
@@ -50,7 +44,6 @@ func panel(name string, wl workload.Config, machine workload.ResourceRange, o Op
 		Seed:       o.Seed,
 		Workers:    o.Workers,
 		Paranoid:   o.Paranoid,
-		Shards:     o.Shards,
 	}
 }
 
@@ -118,7 +111,6 @@ func Figure7(o Options) []Spec {
 		np := panel(label+", non-preemptive", wl, machine, o)
 		p := panel(label+", preemptive", wl, machine, o)
 		p.Preemptive = true
-		p.Shards = 0 // sharded engine is non-preemptive; sequential fallback
 		specs = append(specs, np, p)
 	}
 	add("Figure 7(a): Small Layered EP", workload.DefaultEP(k, workload.Layered), workload.SmallMachine)
@@ -161,7 +153,6 @@ func FigureFaults(o Options) []Spec {
 		s := panel(label, wl, workload.SmallMachine, o)
 		s.Schedulers = []string{"KGreedy", "LSpan", "MQB"}
 		s.Faults = &fc
-		s.Shards = 0 // sharded engine has no fault injection; sequential fallback
 		specs = append(specs, s)
 	}
 	for _, p := range []float64{0.02, 0.05, 0.1, 0.2} {

@@ -30,7 +30,6 @@ import (
 	"fhs/internal/fault"
 	"fhs/internal/metrics"
 	"fhs/internal/obs"
-	"fhs/internal/shard"
 	"fhs/internal/sim"
 	_ "fhs/internal/verify" // registers the Paranoid-mode auditor
 	"fhs/internal/workload"
@@ -73,14 +72,6 @@ type Spec struct {
 	// Workers bounds parallelism; 0 means GOMAXPROCS.
 	Workers int
 
-	// Shards, when > 0, runs every simulation on the sharded optimistic
-	// engine (fhs/internal/shard) with this many scheduler goroutines
-	// instead of the sequential event loop. The sharded engine is proven
-	// bit-identical to the sequential one, so the figures do not change
-	// — only the decision throughput does. It is non-preemptive and
-	// reliable-machine only: Preemptive and active Faults are rejected.
-	Shards int
-
 	// Paranoid audits every simulated schedule with internal/verify
 	// (sim.Config.Paranoid): an invariant violation drops the instance
 	// and is reported in Table.Errors instead of contaminating the
@@ -116,15 +107,6 @@ func (s *Spec) Validate() error {
 	}
 	if s.MaxTime < 0 {
 		return fmt.Errorf("exp: %s: negative MaxTime %d", s.Name, s.MaxTime)
-	}
-	if s.Shards < 0 {
-		return fmt.Errorf("exp: %s: negative Shards %d", s.Name, s.Shards)
-	}
-	if s.Shards > 0 && s.Preemptive {
-		return fmt.Errorf("exp: %s: the sharded engine is non-preemptive; drop Shards or Preemptive", s.Name)
-	}
-	if s.Shards > 0 && s.Faults.Active() {
-		return fmt.Errorf("exp: %s: the sharded engine does not support fault injection; drop Shards or Faults", s.Name)
 	}
 	if err := s.Workload.Validate(); err != nil {
 		return fmt.Errorf("exp: %s: %w", s.Name, err)
@@ -422,26 +404,11 @@ func runInstance(spec *Spec, i int, out []measurement) (ierr *InstanceError) {
 		// from the instance seed and the scheduler index, so randomized
 		// information models (MQB+Exp/Noise) are reproducible no matter
 		// how instances land on workers.
-		params := core.Params{Seed: seed ^ int64(s+1)<<32}
-		var res sim.Result
-		if spec.Shards > 0 {
-			// The fixed params satisfy shard.Factory's identical-instances
-			// contract; the retry seed reuses the instance seed, which the
-			// engine's determinism guarantee makes immaterial to results.
-			res, err = shard.Run(g, func() (sim.Scheduler, error) {
-				return newScheduler(name, params)
-			}, shard.Config{
-				Shards: spec.Shards, Seed: seed, Procs: procs,
-				MaxTime: maxTime, Paranoid: spec.Paranoid, Metrics: spec.Metrics,
-			})
-		} else {
-			var sch sim.Scheduler
-			sch, err = newScheduler(name, params)
-			if err != nil {
-				return fail(err)
-			}
-			res, err = sim.Run(g, sch, cfg)
+		sch, err := newScheduler(name, core.Params{Seed: seed ^ int64(s+1)<<32})
+		if err != nil {
+			return fail(err)
 		}
+		res, err := sim.Run(g, sch, cfg)
 		if err != nil {
 			return fail(err)
 		}

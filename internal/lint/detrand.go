@@ -38,10 +38,6 @@ var detrandScope = []string{
 	"fhs/internal/multi",
 	"fhs/internal/opt",
 	"fhs/internal/service",
-	// The sharded engine's whole point is determinism under
-	// parallelism: its retry ordering must come from the seeded
-	// splitmix64 generator, never the clock or global rand.
-	"fhs/internal/shard",
 	// The load harness is deterministic by contract (reports are
 	// fingerprinted); only its wall-clock throughput stamps may touch
 	// the clock, under reasoned fhlint:ignore suppressions.

@@ -48,17 +48,15 @@ var Locksafe = &Analyzer{
 }
 
 // locksafeScope: the packages with shared mutable state. The engines
-// (core, sim, multi) are single-goroutine by construction but multi's
-// parallel scorers make it worth watching; wal is single-owner yet
+// (core, sim, multi) are single-goroutine by construction; multi starts
+// no goroutines outside its tests and stays in scope only so that a
+// lock added there is checked from the start. wal is single-owner yet
 // rides along under internal/service.
 var locksafeScope = []string{
 	"fhs/internal/service",
 	"fhs/internal/obs",
 	"fhs/internal/multi",
 	"fhs/internal/crashpoint",
-	// The sharded engine synchronizes exclusively through channel
-	// round-trips; any mutex or atomic that creeps in deserves a look.
-	"fhs/internal/shard",
 }
 
 func locksafeApplies(pkgPath string) bool {

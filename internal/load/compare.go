@@ -96,8 +96,8 @@ func identity(r *Report) string {
 // Compare diffs two SLO reports row by row. The reports must describe
 // the same workload — same shape, seed, scale, machine and admission
 // config — or the deltas would compare different work; that is an
-// error, not a wall of bogus rows. Mode and Workers are deliberately
-// not part of the identity: an in-process baseline legitimately gates
+// error, not a wall of bogus rows. Mode is deliberately not part of
+// the identity: an in-process baseline legitimately gates
 // an HTTP run of the same workload (their deterministic outcomes are
 // identical by construction). Wall-clock rows (ops/sec,
 // decisions/sec) are always VerdictInfo and never gated, which is

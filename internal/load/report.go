@@ -17,7 +17,7 @@ const SchemaVersion = 1
 
 // Pct is one latency distribution's percentile triple, in simulated
 // time units. Values are histogram bucket upper bounds (powers of
-// two), so they are bit-deterministic across hosts and worker counts.
+// two), so they are bit-deterministic across hosts and drive modes.
 type Pct struct {
 	P50  int64 `json:"p50"`
 	P99  int64 `json:"p99"`
@@ -66,7 +66,7 @@ type TenantReport struct {
 // wall-clock block at the bottom) are a pure function of the workload
 // identity, and Fingerprint certifies them: two runs of the same
 // shape, seed and machine produce byte-identical fingerprints
-// regardless of host, drive mode or client worker count.
+// regardless of host or drive mode.
 type Report struct {
 	Schema int    `json:"schema"`
 	Note   string `json:"note,omitempty"`
@@ -83,11 +83,10 @@ type Report struct {
 	Scheduler    string  `json:"scheduler"`
 	DefaultQuota int     `json:"default_quota,omitempty"`
 	MaxBacklog   int     `json:"max_backlog,omitempty"`
-	// Mode ("inproc" or "http") and Workers identify how the run was
-	// driven; both are outcome-invariant and excluded from the
-	// fingerprint and the identity check.
-	Mode    string `json:"mode"`
-	Workers int    `json:"workers,omitempty"`
+	// Mode ("inproc" or "http") identifies how the run was driven; it
+	// is outcome-invariant and excluded from the fingerprint and the
+	// identity check.
+	Mode string `json:"mode"`
 
 	// Deterministic outcome.
 	Makespan       int64 `json:"makespan"`
@@ -107,7 +106,7 @@ type Report struct {
 	Flow           Pct   `json:"flow"`
 	// ShedRate is shed submits over attempted submits; ShedSeqHash is
 	// the sha256 of the ordered (op index, Retry-After) shed sequence
-	// — the worker-invariance certificate for the 429 path.
+	// — the drive-mode-invariance certificate for the 429 path.
 	ShedRate    float64 `json:"shed_rate"`
 	ShedSeqHash string  `json:"shed_seq_hash,omitempty"`
 	// SLOMet is the conjunction over declared tenant objectives (true
@@ -115,7 +114,7 @@ type Report struct {
 	SLOMet  bool           `json:"slo_met"`
 	Tenants []TenantReport `json:"tenants"`
 	// Fingerprint is the sha256 over the canonical rendering of every
-	// deterministic field above (Mode, Workers and Note excluded).
+	// deterministic field above (Mode and Note excluded).
 	Fingerprint string `json:"fingerprint"`
 
 	// Environment and wall-clock throughput: informational, excluded

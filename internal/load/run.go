@@ -11,7 +11,6 @@ import (
 	"net/http"
 	"strconv"
 	"strings"
-	"sync"
 	"time"
 
 	"fhs/internal/fault"
@@ -29,11 +28,6 @@ type RunConfig struct {
 	// Scheduler names the registered picker; empty selects MQB. In
 	// HTTP mode it must mirror the served scheduler.
 	Scheduler string
-	// Workers parallelizes work that can never change outcomes: the
-	// in-process core's candidate scoring, and the HTTP client's
-	// request-body encoding pipeline. Reports are bit-identical for
-	// every value; <= 1 runs sequentially.
-	Workers int
 	// DefaultQuota, Quotas, NoFairShare and MaxBacklogTasks mirror
 	// service.Config (in-process mode) or the served configuration
 	// (HTTP mode; needed for the report identity and the audit).
@@ -171,7 +165,6 @@ func driveCore(cfg RunConfig, ops []service.Op) (*outcome, error) {
 		DefaultQuota:    cfg.DefaultQuota,
 		Quotas:          cfg.Quotas,
 		NoFairShare:     cfg.NoFairShare,
-		Workers:         cfg.Workers,
 		MaxBacklogTasks: cfg.MaxBacklogTasks,
 		Faults:          cfg.Faults,
 		Metrics:         obs.NewRegistry(),
@@ -232,12 +225,8 @@ func driveCore(cfg RunConfig, ops []service.Op) (*outcome, error) {
 }
 
 // driveHTTP feeds ops to a live fhd over its JSON API, in strict
-// trace order. Workers parallelize request-body encoding in a
-// deterministic fan-out/fan-in (worker w marshals ops w, w+W, ...);
-// dispatch itself is serialized in op order, so the server observes
-// the identical operation sequence for every worker count — that is
-// what makes the 429/Retry-After sequence and the report fingerprint
-// worker-invariant.
+// trace order, so the server observes exactly the operation sequence
+// the in-process drive applies.
 func driveHTTP(cfg RunConfig, ops []service.Op) (*outcome, error) {
 	client := cfg.Client
 	if client == nil {
@@ -245,7 +234,7 @@ func driveHTTP(cfg RunConfig, ops []service.Op) (*outcome, error) {
 	}
 	base := strings.TrimRight(cfg.URL, "/")
 
-	bodies, err := encodeBodies(ops, cfg.Workers)
+	bodies, err := encodeBodies(ops)
 	if err != nil {
 		return nil, err
 	}
@@ -253,7 +242,7 @@ func driveHTTP(cfg RunConfig, ops []service.Op) (*outcome, error) {
 	// Resolve the canonical scheduler name through the same registry
 	// the server used, so an in-process and an HTTP report of the same
 	// workload can never disagree on casing.
-	picker, err := service.NewPicker(cfg.Scheduler, 1)
+	picker, err := service.NewPicker(cfg.Scheduler)
 	if err != nil {
 		return nil, err
 	}
@@ -348,39 +337,18 @@ func driveHTTP(cfg RunConfig, ops []service.Op) (*outcome, error) {
 	return o, nil
 }
 
-// encodeBodies pre-marshals every submit body with a deterministic
-// worker fan-out: worker w handles indices w, w+W, 2W+w, ... and
-// writes into its own slots, so the result is independent of worker
-// count and scheduling.
-func encodeBodies(ops []service.Op, workers int) ([][]byte, error) {
-	if workers < 1 {
-		workers = 1
-	}
+// encodeBodies pre-marshals every submit body; other ops get nil.
+func encodeBodies(ops []service.Op) ([][]byte, error) {
 	bodies := make([][]byte, len(ops))
-	errs := make([]error, workers)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(wk int) {
-			defer wg.Done()
-			for i := wk; i < len(ops); i += workers {
-				if ops[i].Op != "submit" {
-					continue
-				}
-				b, err := json.Marshal(ops[i].SubmitRequest())
-				if err != nil {
-					errs[wk] = fmt.Errorf("load: op %d: encode: %w", i, err)
-					return
-				}
-				bodies[i] = b
-			}
-		}(w)
-	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return nil, err
+	for i := range ops {
+		if ops[i].Op != "submit" {
+			continue
 		}
+		b, err := json.Marshal(ops[i].SubmitRequest())
+		if err != nil {
+			return nil, fmt.Errorf("load: op %d: encode: %w", i, err)
+		}
+		bodies[i] = b
 	}
 	return bodies, nil
 }
@@ -521,7 +489,6 @@ func buildReport(cfg RunConfig, tc TraceConfig, mode string, nOps int, o *outcom
 		DefaultQuota: cfg.DefaultQuota,
 		MaxBacklog:   cfg.MaxBacklogTasks,
 		Mode:         mode,
-		Workers:      cfg.Workers,
 
 		Makespan:       o.makespan,
 		Submitted:      o.submitted,

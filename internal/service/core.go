@@ -173,7 +173,7 @@ func New(cfg Config) (*Core, error) {
 	if err := cfg.validate(); err != nil {
 		return nil, err
 	}
-	p, err := NewPicker(cfg.Scheduler, cfg.Workers)
+	p, err := NewPicker(cfg.Scheduler)
 	if err != nil {
 		return nil, err
 	}

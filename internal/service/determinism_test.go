@@ -2,84 +2,10 @@ package service
 
 import (
 	"errors"
-	"fhs/internal/obs"
 	"math/rand"
 	"reflect"
 	"testing"
 )
-
-// wideTrace returns an arrival trace whose pools hold well over
-// parallelThreshold ready candidates at once (many single-tenant EP
-// jobs arriving together), so the parallel MQB scoring path actually
-// engages.
-func wideTrace(t *testing.T) []Op {
-	t.Helper()
-	ops, err := GenerateTrace(GenConfig{
-		Jobs:     40,
-		Tenants:  []TenantSpec{{Name: "a", Weight: 1}},
-		MeanGap:  1,
-		K:        2,
-		SeedBase: 500,
-	}, rand.New(rand.NewSource(17)))
-	if err != nil {
-		t.Fatal(err)
-	}
-	return ops
-}
-
-// TestWorkerInvariance replays one trace with 1, 2 and 8 scoring
-// workers: fingerprints, event streams and summaries must be
-// bit-identical — worker count parallelizes MQB candidate scoring, it
-// must never change an outcome.
-func TestWorkerInvariance(t *testing.T) {
-	ops := wideTrace(t)
-	var base *ReplayResult
-	for _, workers := range []int{1, 2, 8} {
-		res, err := Replay(Config{Procs: []int{3, 3}, Workers: workers}, ops)
-		if err != nil {
-			t.Fatalf("workers=%d: %v", workers, err)
-		}
-		if base == nil {
-			base = res
-			continue
-		}
-		if res.Fingerprint != base.Fingerprint {
-			t.Errorf("workers=%d: fingerprint %s, workers=1 had %s", workers, res.Fingerprint, base.Fingerprint)
-		}
-		if len(res.Events) != len(base.Events) {
-			t.Fatalf("workers=%d: %d events, workers=1 had %d", workers, len(res.Events), len(base.Events))
-		}
-		for i := range res.Events {
-			if res.Events[i] != base.Events[i] {
-				t.Fatalf("workers=%d: event %d is %+v, workers=1 had %+v", workers, i, res.Events[i], base.Events[i])
-			}
-		}
-		if !reflect.DeepEqual(res.Summary, base.Summary) {
-			t.Errorf("workers=%d: summary diverged:\n%+v\n%+v", workers, res.Summary, base.Summary)
-		}
-	}
-}
-
-// TestParallelPathEngages guards the worker-invariance test against
-// silently testing nothing: the wide trace must actually produce picks
-// with more candidates than the chunking threshold, otherwise the
-// parallel scoring path never runs.
-func TestParallelPathEngages(t *testing.T) {
-	ops := wideTrace(t)
-	res, err := Replay(Config{Procs: []int{3, 3}, Workers: 8}, ops)
-	if err != nil {
-		t.Fatal(err)
-	}
-	max := int64(0)
-	for _, e := range res.Events {
-		if e.Kind == obs.KindDecision && e.Arg > max {
-			max = e.Arg
-		}
-	}
-	if max < parallelThreshold {
-		t.Errorf("widest pick had %d candidates, threshold is %d — parallel scoring never engaged", max, parallelThreshold)
-	}
-}
 
 // TestReplayRepeatability: five replays of the same trace produce five
 // identical fingerprints — the bit-identical-replay acceptance bar.

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"sort"
 	"strings"
-	"sync"
 
 	"fhs/internal/dag"
 	"fhs/internal/metrics"
@@ -41,10 +40,10 @@ type Picker interface {
 
 // NewPicker resolves a registered scheduler name (case-insensitive).
 // The empty name selects MQB, the paper's utilization-balancing rule.
-func NewPicker(name string, workers int) (Picker, error) {
+func NewPicker(name string) (Picker, error) {
 	switch strings.ToLower(name) {
 	case "", "mqb":
-		return &MQB{workers: workers}, nil
+		return &MQB{}, nil
 	case "kgreedy":
 		return KGreedy{}, nil
 	default:
@@ -67,21 +66,10 @@ func (KGreedy) Pick(*View, dag.Type, []Cand) (int, float64) { return 0, 0 }
 // best balances the sorted x-utilizations (the max-min comparison of
 // internal/multi's BalancedMQB — keep the lexicographically greatest
 // ascending profile; ties keep the oldest candidate).
-//
-// With workers > 1 candidate scoring is chunked across goroutines and
-// the chunk winners merged in chunk order. Replacement happens only on
-// a strictly greater profile, so the merged winner is the same
-// candidate the sequential scan selects — worker count never changes
-// an outcome, only the latency of large picks.
 type MQB struct {
-	workers int
-	cand    []float64
-	best    []float64
+	cand []float64
+	best []float64
 }
-
-// parallelThreshold is the candidate count below which chunking costs
-// more than it saves.
-const parallelThreshold = 64
 
 // Name implements Picker.
 func (*MQB) Name() string { return "MQB" }
@@ -97,9 +85,6 @@ func (m *MQB) Pick(v *View, alpha dag.Type, cands []Cand) (int, float64) {
 		m.best = make([]float64, k)
 	}
 	m.cand, m.best = m.cand[:k], m.best[:k]
-	if m.workers > 1 && len(cands) >= parallelThreshold {
-		return m.pickParallel(v, alpha, cands)
-	}
 	best := -1
 	for i := range cands {
 		scoreInto(m.cand, v, alpha, &cands[i])
@@ -122,61 +107,4 @@ func scoreInto(profile []float64, v *View, alpha dag.Type, c *Cand) {
 		profile[a] = work / float64(v.Procs[a])
 	}
 	sort.Float64s(profile)
-}
-
-// pickParallel chunks the candidate scan across m.workers goroutines.
-// Each chunk finds its local winner with the sequential rule; winners
-// merge in chunk order with replacement only on a strictly greater
-// profile, which reproduces the sequential scan's choice exactly.
-func (m *MQB) pickParallel(v *View, alpha dag.Type, cands []Cand) (int, float64) {
-	k := len(v.Procs)
-	workers := m.workers
-	if workers > len(cands) {
-		workers = len(cands)
-	}
-	type winner struct {
-		idx     int
-		profile []float64
-	}
-	wins := make([]winner, workers)
-	chunk := (len(cands) + workers - 1) / workers
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		lo := w * chunk
-		hi := lo + chunk
-		if hi > len(cands) {
-			hi = len(cands)
-		}
-		if lo >= hi {
-			wins[w].idx = -1
-			continue
-		}
-		wg.Add(1)
-		go func(slot, from, to int) {
-			defer wg.Done()
-			cur := make([]float64, k)
-			best := make([]float64, k)
-			bi := -1
-			for i := from; i < to; i++ {
-				scoreInto(cur, v, alpha, &cands[i])
-				if bi < 0 || metrics.LexLess(best, cur) {
-					bi = i
-					best, cur = cur, best
-				}
-			}
-			wins[slot] = winner{idx: bi, profile: best}
-		}(w, lo, hi)
-	}
-	wg.Wait()
-	merged := winner{idx: -1}
-	for _, win := range wins {
-		if win.idx < 0 {
-			continue
-		}
-		if merged.idx < 0 || metrics.LexLess(merged.profile, win.profile) {
-			merged = win
-		}
-	}
-	copy(m.best, merged.profile)
-	return merged.idx, merged.profile[0]
 }

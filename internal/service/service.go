@@ -17,10 +17,9 @@
 // randomness. Simulation time advances only through AdvanceTo/Drain,
 // and every trace event, metric total and pick is a pure function of
 // the operation sequence. Replaying a recorded arrival trace therefore
-// yields a bit-identical observability fingerprint across runs, worker
-// counts (Config.Workers parallelizes candidate scoring, not
-// outcomes), and server restarts mid-trace (replay the consumed prefix
-// into a fresh core and continue — the WAL recovery model).
+// yields a bit-identical observability fingerprint across runs and
+// server restarts mid-trace (replay the consumed prefix into a fresh
+// core and continue — the WAL recovery model).
 package service
 
 import (
@@ -83,10 +82,6 @@ type Config struct {
 	// then choose over all max-priority candidates regardless of
 	// tenant. Fair share is on by default.
 	NoFairShare bool
-	// Workers parallelizes MQB candidate scoring within one pick.
-	// Outcomes are bit-identical for every value; <= 1 scores
-	// sequentially.
-	Workers int
 	// Obs receives the event stream (releases, cancels, task
 	// lifecycle, queue-depth and x-utilization samples, decisions).
 	// Nil disables tracing.

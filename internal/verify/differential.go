@@ -28,11 +28,6 @@ func (*RefGreedy) Name() string { return "RefGreedy" }
 // Prepare implements sim.Scheduler. RefGreedy is online and stateless.
 func (*RefGreedy) Prepare(*dag.Graph, sim.Config) error { return nil }
 
-// PickIsLocal declares RefGreedy's pick footprint to the sharded
-// engine (fhs/internal/shard.LocalPicker, matched structurally): Pick
-// reads only the requested type's ready set.
-func (*RefGreedy) PickIsLocal() {}
-
 // Pick implements sim.Scheduler: lowest task ID wins.
 func (*RefGreedy) Pick(st *sim.State, alpha dag.Type) (dag.TaskID, bool) {
 	best := dag.NoTask
