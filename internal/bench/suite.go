@@ -23,8 +23,10 @@ func Suite() []Benchmark {
 		{Name: "engine/np/mqb-ir", Setup: engineBench("MQB", workload.IR, false, false)},
 		{Name: "engine/np/mqb-tree", Setup: engineBench("MQB", workload.Tree, false, false)},
 		{Name: "engine/np/shiftbt-ir", Setup: engineBench("ShiftBT", workload.IR, false, false)},
+		{Name: "engine/np/shiftbt-tree", Setup: engineBench("ShiftBT", workload.Tree, false, false)},
 		{Name: "engine/p/kgreedy-ir", Setup: engineBench("KGreedy", workload.IR, true, false)},
 		{Name: "engine/p/mqb-ir", Setup: engineBench("MQB", workload.IR, true, false)},
+		{Name: "engine/p/lspan-ir", Setup: engineBench("LSpan", workload.IR, true, false)},
 		{Name: "sim/paranoid/mqb-ir", Setup: engineBench("MQB", workload.IR, false, true)},
 		{Name: "service/replay-mqb", Setup: serviceReplayBench("MQB")},
 		{Name: "service/replay-kgreedy", Setup: serviceReplayBench("KGreedy")},

@@ -13,6 +13,7 @@ import (
 // Tasks with no different-type descendant sort last.
 type DType struct {
 	dist []int32
+	q    keyedQueue
 }
 
 // NewDType returns the different-type-first scheduler.
@@ -25,10 +26,11 @@ func (*DType) Name() string { return "DType" }
 // graph's shared memo (computed once per graph, read-only here).
 func (d *DType) Prepare(g *dag.Graph, _ sim.Config) error {
 	d.dist = g.SharedDifferentTypeDistances()
+	d.q.reset(g.K())
 	return nil
 }
 
 // Pick implements sim.Scheduler.
 func (d *DType) Pick(st *sim.State, alpha dag.Type) (dag.TaskID, bool) {
-	return pickMin(st, alpha, func(id dag.TaskID) float64 { return float64(d.dist[id]) })
+	return d.q.pick(st, alpha, func(id dag.TaskID) float64 { return float64(d.dist[id]) })
 }

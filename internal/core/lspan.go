@@ -13,6 +13,7 @@ import (
 // paper notes it loses optimality on K-DAGs.
 type LSpan struct {
 	spans []int64 // static per-task span from dag.Graph
+	q     keyedQueue
 }
 
 // NewLSpan returns the longest-span-first scheduler.
@@ -27,6 +28,7 @@ func (l *LSpan) Prepare(g *dag.Graph, _ sim.Config) error {
 	for i := 0; i < g.NumTasks(); i++ {
 		l.spans[i] = g.TaskSpan(dag.TaskID(i))
 	}
+	l.q.reset(g.K())
 	return nil
 }
 
@@ -34,7 +36,7 @@ func (l *LSpan) Prepare(g *dag.Graph, _ sim.Config) error {
 // partially executed before returning to the queue; its remaining span
 // shrinks by the executed amount.
 func (l *LSpan) Pick(st *sim.State, alpha dag.Type) (dag.TaskID, bool) {
-	return pickMax(st, alpha, func(id dag.TaskID) float64 {
-		return float64(l.spans[id] - st.Executed(id))
+	return l.q.pick(st, alpha, func(id dag.TaskID) float64 {
+		return -float64(l.spans[id] - st.Executed(id))
 	})
 }

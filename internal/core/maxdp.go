@@ -15,6 +15,7 @@ import (
 // workloads.
 type MaxDP struct {
 	desc []float64
+	q    keyedQueue
 }
 
 // NewMaxDP returns the maximum-descendants-first scheduler.
@@ -27,10 +28,11 @@ func (*MaxDP) Name() string { return "MaxDP" }
 // the graph's shared memo (computed once per graph, read-only here).
 func (m *MaxDP) Prepare(g *dag.Graph, _ sim.Config) error {
 	m.desc = g.SharedDescendantValues()
+	m.q.reset(g.K())
 	return nil
 }
 
 // Pick implements sim.Scheduler.
 func (m *MaxDP) Pick(st *sim.State, alpha dag.Type) (dag.TaskID, bool) {
-	return pickMax(st, alpha, func(id dag.TaskID) float64 { return m.desc[id] })
+	return m.q.pick(st, alpha, func(id dag.TaskID) float64 { return -m.desc[id] })
 }

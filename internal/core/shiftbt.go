@@ -1,9 +1,10 @@
 package core
 
 import (
+	"cmp"
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 
 	"fhs/internal/dag"
 	"fhs/internal/sim"
@@ -30,6 +31,8 @@ import (
 type ShiftBT struct {
 	rank []int64 // per-task dispatch rank within its type
 	due  []int64
+	q    keyedQueue
+	edd  eddSched // relaxation policy, reused across relaxations
 }
 
 // NewShiftBT returns the shifting-bottleneck scheduler.
@@ -43,6 +46,7 @@ func (*ShiftBT) Name() string { return "ShiftBT" }
 func (s *ShiftBT) Prepare(g *dag.Graph, cfg sim.Config) error {
 	n := g.NumTasks()
 	k := g.K()
+	s.q.reset(k)
 	s.due = make([]int64, n)
 	for i := 0; i < n; i++ {
 		s.due[i] = g.Span() - g.TaskSpan(dag.TaskID(i))
@@ -65,6 +69,9 @@ func (s *ShiftBT) Prepare(g *dag.Graph, cfg sim.Config) error {
 			nUnfixed++
 		}
 	}
+	s.edd.due, s.edd.fixedRank = s.due, fixedRank
+	s.edd.unlimited = make([]bool, k)
+	procs := make([]int, k)
 
 	for nUnfixed > 0 {
 		bestType := -1
@@ -74,7 +81,14 @@ func (s *ShiftBT) Prepare(g *dag.Graph, cfg sim.Config) error {
 			if !unfixed[a] {
 				continue
 			}
-			order, lateness, err := s.relax(g, cfg, fixedRank, unfixed, dag.Type(a))
+			for b := 0; b < k; b++ {
+				s.edd.unlimited[b] = b != a && fixedRank[b] == nil
+				procs[b] = cfg.Procs[b]
+				if s.edd.unlimited[b] {
+					procs[b] = max(typeCount[b], 1)
+				}
+			}
+			order, lateness, err := s.relax(g, procs, dag.Type(a))
 			if err != nil {
 				return fmt.Errorf("core: ShiftBT relaxation for type %d: %w", a, err)
 			}
@@ -97,52 +111,32 @@ func (s *ShiftBT) Prepare(g *dag.Graph, cfg sim.Config) error {
 	return nil
 }
 
-// relax computes the EDD relaxation for candidate type: the candidate
-// and already-fixed types keep their configured pool sizes; every
-// other unfixed type gets one processor per task (effectively
+// relax computes the EDD relaxation for candidate type on procs: the
+// candidate and already-fixed types keep their configured pool sizes;
+// every other unfixed type gets one processor per task (effectively
 // unlimited). It returns the candidate's task start order and its
 // maximum lateness max(start − due).
-func (s *ShiftBT) relax(g *dag.Graph, cfg sim.Config, fixedRank [][]int64, unfixed []bool, candidate dag.Type) ([]dag.TaskID, int64, error) {
-	k := g.K()
-	typeCount := g.TypeCount()
-	procs := make([]int, k)
-	for a := 0; a < k; a++ {
-		switch {
-		case dag.Type(a) == candidate || fixedRank[a] != nil:
-			procs[a] = cfg.Procs[a]
-		default:
-			procs[a] = max(typeCount[a], 1)
-		}
-	}
-	inner := &eddSched{due: s.due, fixedRank: fixedRank}
-	res, err := sim.Run(g, inner, sim.Config{Procs: procs, CollectTrace: true})
-	if err != nil {
+func (s *ShiftBT) relax(g *dag.Graph, procs []int, candidate dag.Type) ([]dag.TaskID, int64, error) {
+	s.edd.candidate, s.edd.starts = candidate, s.edd.starts[:0]
+	if _, err := sim.Run(g, &s.edd, sim.Config{Procs: procs}); err != nil {
 		return nil, 0, err
 	}
-	type started struct {
-		t  int64
-		id dag.TaskID
-	}
-	var starts []started
+	starts := s.edd.starts
 	lateness := int64(math.MinInt64)
-	for _, ev := range res.Trace {
-		if ev.Kind != sim.EventStart || ev.Type != candidate {
-			continue
-		}
-		starts = append(starts, started{ev.Time, ev.Task})
-		if l := ev.Time - s.due[ev.Task]; l > lateness {
+	for _, ts := range starts {
+		if l := ts.t - s.due[ts.id]; l > lateness {
 			lateness = l
 		}
 	}
-	sort.Slice(starts, func(i, j int) bool {
-		if starts[i].t != starts[j].t {
-			return starts[i].t < starts[j].t
+	slices.SortFunc(starts, func(a, b taskStart) int {
+		if a.t != b.t {
+			return cmp.Compare(a.t, b.t)
 		}
-		return starts[i].id < starts[j].id
+		return cmp.Compare(a.id, b.id)
 	})
 	order := make([]dag.TaskID, len(starts))
-	for i, st := range starts {
-		order[i] = st.id
+	for i, ts := range starts {
+		order[i] = ts.id
 	}
 	return order, lateness, nil
 }
@@ -150,7 +144,7 @@ func (s *ShiftBT) relax(g *dag.Graph, cfg sim.Config, fixedRank [][]int64, unfix
 // Pick implements sim.Scheduler: dispatch in frozen bottleneck order,
 // falling back to earliest due date for any task without a rank.
 func (s *ShiftBT) Pick(st *sim.State, alpha dag.Type) (dag.TaskID, bool) {
-	return pickMin(st, alpha, func(id dag.TaskID) float64 {
+	return s.q.pick(st, alpha, func(id dag.TaskID) float64 {
 		if s.rank[id] != math.MaxInt64 {
 			return float64(s.rank[id])
 		}
@@ -160,19 +154,50 @@ func (s *ShiftBT) Pick(st *sim.State, alpha dag.Type) (dag.TaskID, bool) {
 
 // eddSched is the inner policy of ShiftBT's relaxations: fixed types
 // dispatch in their frozen order, every other type earliest-due-date
-// first.
+// first. On an unlimited pool every ready task starts at once, so the
+// order is immaterial and the queue head is taken. It records when
+// each candidate-type task is picked; the relaxation is non-preemptive
+// and fault-free, so a picked task starts at that instant.
 type eddSched struct {
 	due       []int64
 	fixedRank [][]int64
+	unlimited []bool // per type: one processor per task
+	candidate dag.Type
+	starts    []taskStart
+	q         keyedQueue
+}
+
+// taskStart is one candidate-type start in a relaxation.
+type taskStart struct {
+	t  int64
+	id dag.TaskID
 }
 
 func (*eddSched) Name() string { return "ShiftBT/EDD-relaxation" }
 
-func (*eddSched) Prepare(*dag.Graph, sim.Config) error { return nil }
+func (e *eddSched) Prepare(g *dag.Graph, _ sim.Config) error {
+	e.q.reset(g.K())
+	return nil
+}
 
 func (e *eddSched) Pick(st *sim.State, alpha dag.Type) (dag.TaskID, bool) {
-	if ranks := e.fixedRank[alpha]; ranks != nil {
-		return pickMin(st, alpha, func(id dag.TaskID) float64 { return float64(ranks[id]) })
+	if e.unlimited[alpha] {
+		if q := st.Ready(alpha); len(q) > 0 {
+			return q[0], true
+		}
+		return dag.NoTask, false
 	}
-	return pickMin(st, alpha, func(id dag.TaskID) float64 { return float64(e.due[id]) })
+	var (
+		id dag.TaskID
+		ok bool
+	)
+	if ranks := e.fixedRank[alpha]; ranks != nil {
+		id, ok = e.q.pick(st, alpha, func(t dag.TaskID) float64 { return float64(ranks[t]) })
+	} else {
+		id, ok = e.q.pick(st, alpha, func(t dag.TaskID) float64 { return float64(e.due[t]) })
+	}
+	if ok && alpha == e.candidate {
+		e.starts = append(e.starts, taskStart{t: st.Now(), id: id})
+	}
+	return id, ok
 }

@@ -174,6 +174,7 @@ func TestCrashEquivalence(t *testing.T) {
 			for n := 1; n <= 64; n++ {
 				dir := t.TempDir()
 				cmd := exec.Command(exe, "-test.run", "^TestCrashScriptChild$")
+				dieWithParent(cmd)
 				cmd.Env = append(os.Environ(),
 					"FH_CRASH_WALDIR="+dir,
 					fmt.Sprintf("%s=%s:%d", crashpoint.EnvVar, site, n),

@@ -152,7 +152,6 @@ func runNonPreemptive(g *dag.Graph, s Scheduler, cfg *Config) (Result, error) {
 		// A completion may fail transiently (the seeded coin), in which
 		// case the whole execution is wasted and the task re-enters its
 		// ready queue with full work.
-		requeued := false
 		for len(running) > 0 && running[0].finish == t {
 			rt := running.Pop()
 			alpha := g.Task(rt.id).Type
@@ -168,7 +167,6 @@ func runNonPreemptive(g *dag.Graph, s Scheduler, cfg *Config) (Result, error) {
 				if err := st.retry(rt.id); err != nil {
 					return res, err
 				}
-				requeued = true
 				if cfg.CollectTrace {
 					res.Trace = append(res.Trace, Event{Time: t, Task: rt.id, Type: alpha, Kind: EventFail})
 				}
@@ -223,7 +221,6 @@ func runNonPreemptive(g *dag.Graph, s Scheduler, cfg *Config) (Result, error) {
 					if err := st.retry(rt.id); err != nil {
 						return res, err
 					}
-					requeued = true
 					if cfg.CollectTrace {
 						res.Trace = append(res.Trace, Event{Time: t, Task: rt.id, Type: alpha, Kind: EventKill})
 					}
@@ -232,9 +229,6 @@ func runNonPreemptive(g *dag.Graph, s Scheduler, cfg *Config) (Result, error) {
 					}
 				}
 			}
-		}
-		if requeued {
-			st.sortQueues()
 		}
 	}
 	res.CompletionTime = st.now
@@ -322,7 +316,6 @@ func runPreemptive(g *dag.Graph, s Scheduler, cfg *Config) (Result, error) {
 			}
 		}
 		st.now += step
-		requeued := false
 		for a := range still {
 			still[a] = still[a][:0]
 		}
@@ -345,7 +338,6 @@ func runPreemptive(g *dag.Graph, s Scheduler, cfg *Config) (Result, error) {
 				if err := st.retry(id); err != nil {
 					return res, err
 				}
-				requeued = true
 				if cfg.CollectTrace {
 					res.Trace = append(res.Trace, Event{Time: st.now, Task: id, Type: alpha, Kind: EventFail})
 				}
@@ -413,10 +405,6 @@ func runPreemptive(g *dag.Graph, s Scheduler, cfg *Config) (Result, error) {
 					tr.Emit(obs.TaskEv(obs.KindPreempt, st.now, int64(id), int64(alpha)))
 				}
 			}
-			requeued = true
-		}
-		if requeued {
-			st.sortQueues()
 		}
 	}
 	res.CompletionTime = st.now

@@ -123,7 +123,8 @@ type Scheduler interface {
 
 	// Pick returns the ready task of type alpha to run next, or
 	// ok=false to leave the remaining processors of that pool idle this
-	// round. The returned task must be in st.Ready(alpha).
+	// round. The returned task must be in st.Ready(alpha); the engine
+	// starts it at once, removing it from the queue.
 	Pick(st *State, alpha dag.Type) (id dag.TaskID, ok bool)
 }
 

@@ -10,11 +10,13 @@ import (
 )
 
 // fifo is a minimal scheduler for engine tests: first ready task wins.
+// It and lifo check the ready queue's ReadySeq order on every Pick.
 type fifo struct{}
 
 func (fifo) Name() string                     { return "fifo" }
 func (fifo) Prepare(*dag.Graph, Config) error { return nil }
 func (fifo) Pick(st *State, a dag.Type) (dag.TaskID, bool) {
+	mustBeInSeqOrder(st, a)
 	q := st.Ready(a)
 	if len(q) == 0 {
 		return dag.NoTask, false
@@ -28,6 +30,7 @@ type lifo struct{}
 func (lifo) Name() string                     { return "lifo" }
 func (lifo) Prepare(*dag.Graph, Config) error { return nil }
 func (lifo) Pick(st *State, a dag.Type) (dag.TaskID, bool) {
+	mustBeInSeqOrder(st, a)
 	q := st.Ready(a)
 	if len(q) == 0 {
 		return dag.NoTask, false
