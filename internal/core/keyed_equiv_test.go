@@ -117,8 +117,9 @@ type keyedCase struct {
 
 // drawKeyedCases covers every workload class and typing in both engine
 // modes, each with and without a fault plan whose churn kills tasks
-// and whose coin fails them transiently.
-func drawKeyedCases(t *testing.T, seed int64) []keyedCase {
+// and whose coin fails them transiently. A non-nil tweak adjusts each
+// workload configuration before its graph is drawn.
+func drawKeyedCases(t *testing.T, seed int64, tweak func(*workload.Config)) []keyedCase {
 	t.Helper()
 	rng := rand.New(rand.NewSource(seed))
 	var cases []keyedCase
@@ -127,7 +128,11 @@ func drawKeyedCases(t *testing.T, seed int64) []keyedCase {
 			for _, preemptive := range []bool{false, true} {
 				for _, faulty := range []bool{false, true} {
 					k := 2 + rng.Intn(3)
-					g, err := workload.Generate(workload.Default(class, k, typing), rng)
+					wc := workload.Default(class, k, typing)
+					if tweak != nil {
+						tweak(&wc)
+					}
+					g, err := workload.Generate(wc, rng)
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -194,7 +199,7 @@ func runKeyedPair(t *testing.T, label string, g *dag.Graph, cfg sim.Config, s, s
 // fault plans cover kill and failure re-enqueues.
 func TestKeyedPickEquivalence(t *testing.T) {
 	var kills, failures, preemptive int64
-	for _, c := range drawKeyedCases(t, 23) {
+	for _, c := range drawKeyedCases(t, 23, nil) {
 		for _, name := range []string{"LSpan", "DType", "MaxDP", "ShiftBT"} {
 			cfg := c.cfg(c.procs)
 			res := runKeyedPair(t, c.name+"/"+name, c.g, cfg, MustNew(name, Params{}), MustNew(name, Params{}))
@@ -222,7 +227,7 @@ func TestKeyedPickEquivalence(t *testing.T) {
 // starts, in order) and that head picks on unlimited pools record the
 // same starts as EDD picks there.
 func TestKeyedEDDRelaxationEquivalence(t *testing.T) {
-	for _, c := range drawKeyedCases(t, 29) {
+	for _, c := range drawKeyedCases(t, 29, nil) {
 		sb := NewShiftBT()
 		if err := sb.Prepare(c.g, sim.Config{Procs: c.procs}); err != nil {
 			t.Fatal(err)

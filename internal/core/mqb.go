@@ -122,6 +122,10 @@ type MQB struct {
 	// copy.
 	desc [][]float64
 
+	// classes buckets the ready tasks by descendant class, so Pick
+	// scores one task per class instead of every ready task.
+	classes classQueue
+
 	// Scratch buffers reused across Pick calls to stay allocation-free
 	// on the hot path: candidate/incumbent balance vectors plus the
 	// per-call hoisted queue loads and pool sizes.
@@ -162,11 +166,16 @@ func (m *MQB) Name() string {
 // across jobs draws fresh noise every Prepare.
 func (m *MQB) Prepare(g *dag.Graph, cfg sim.Config) error {
 	m.tr = cfg.Obs
-	var src [][]float64
+	var (
+		src   [][]float64
+		class []int32
+	)
 	if m.opts.Lookahead == LookaheadOneStep {
 		src = g.SharedOneStepTypedDescendantValues()
+		class = g.SharedOneStepTypedDescendantClasses()
 	} else {
 		src = g.SharedTypedDescendantValues()
+		class = g.SharedTypedDescendantClasses()
 	}
 	switch m.opts.Info {
 	case InfoPrecise:
@@ -198,6 +207,12 @@ func (m *MQB) Prepare(g *dag.Graph, cfg sim.Config) error {
 	default:
 		return fmt.Errorf("core: unknown MQB info model %d", m.opts.Info)
 	}
+	if m.opts.Info != InfoPrecise {
+		// Perturbed rows differ from the memoized ones, so their
+		// classes are drawn per run.
+		class = dag.DescendantClasses(g, m.desc)
+	}
+	m.classes.reset(g, class)
 	k := g.K()
 	m.cand = make([]float64, k)
 	m.best = make([]float64, k)
@@ -224,21 +239,28 @@ func copyRows(src [][]float64, k int) [][]float64 {
 // added to every queue, and keeps the candidate whose snapshot has the
 // best balance. Ties keep the earliest-ready candidate.
 //
-// Between candidates only the α-queue term and the candidate's
-// descendant row change, so the queue loads and pool sizes are hoisted
-// out of the candidate loop, and the paper's lexicographic rule is
-// evaluated by sortBeats — an incremental selection sort that exits at
-// the first position deciding the comparison instead of fully sorting
-// every snapshot. The decision sequence is bit-identical to the
-// straightforward sort-then-LexLess formulation (asserted by the
-// differential test in mqb_equiv_test.go).
+// Ready tasks of one descendant class produce bit-equal snapshots, so
+// only each class's earliest-ready member is scored (see classQueue);
+// between classes a tie goes to the lower ReadySeq, which is the
+// queue-order scan's rule. Between candidates only the α-queue term and
+// the candidate's descendant row change, so the queue loads and pool
+// sizes are hoisted out of the candidate loop, and the paper's
+// lexicographic rule is evaluated by sortBeats — an incremental
+// selection sort that exits at the first position deciding the
+// comparison instead of fully sorting every snapshot. The decision
+// sequence is bit-identical to scoring every ready task with a full
+// sort and LexLess (asserted before every Pick by the differential
+// test in mqb_equiv_test.go).
 func (m *MQB) Pick(st *sim.State, alpha dag.Type) (dag.TaskID, bool) {
-	q := st.Ready(alpha)
-	if len(q) == 0 {
+	cands := m.classes.drain(st, alpha)
+	if len(cands) == 0 {
 		return dag.NoTask, false
 	}
-	if len(q) == 1 {
-		return q[0], true
+	// A contested pick (two or more ready tasks) is traced even when
+	// one class holds them all, so the decision stream is unchanged.
+	traced := m.tr.Enabled() && st.QueueLen(alpha) > 1
+	if len(cands) == 1 && !traced {
+		return m.classes.take(alpha, 0), true
 	}
 	k := st.K()
 	base, procs := m.base[:k], m.procs[:k]
@@ -246,9 +268,14 @@ func (m *MQB) Pick(st *sim.State, alpha dag.Type) (dag.TaskID, bool) {
 		base[a] = float64(st.QueueWork(dag.Type(a)))
 		procs[a] = float64(st.Procs(dag.Type(a)))
 	}
-	best := dag.NoTask
-	var bestScore float64
-	for _, id := range q {
+	bestAt := -1
+	var (
+		bestSeq   int64
+		bestScore float64
+	)
+	for i, c := range cands {
+		id := m.classes.head(c)
+		seq := st.ReadySeq(id)
 		row := m.desc[id]
 		rem := float64(st.Remaining(id))
 		for a := 0; a < k; a++ {
@@ -266,16 +293,15 @@ func (m *MQB) Pick(st *sim.State, alpha dag.Type) (dag.TaskID, bool) {
 				m.cand[a] = 0
 			}
 		}
+		earlier := seq < bestSeq
 		switch m.opts.Balance {
 		case BalanceLex:
-			if best == dag.NoTask {
+			if bestAt < 0 {
 				selectionSort(m.cand)
-				best = id
-				m.best, m.cand = m.cand, m.best
-			} else if sortBeats(m.cand, m.best) {
-				best = id
-				m.best, m.cand = m.cand, m.best
+			} else if !sortBeats(m.cand, m.best, earlier) {
+				continue
 			}
+			m.best, m.cand = m.cand, m.best
 		case BalanceMinOnly:
 			score := m.cand[0]
 			for _, v := range m.cand[1:] {
@@ -283,20 +309,25 @@ func (m *MQB) Pick(st *sim.State, alpha dag.Type) (dag.TaskID, bool) {
 					score = v
 				}
 			}
-			if best == dag.NoTask || score > bestScore {
-				best, bestScore = id, score
+			if bestAt >= 0 && !scoreBeats(score, bestScore, earlier) {
+				continue
 			}
+			bestScore = score
 		case BalanceSum:
 			var score float64
 			for _, v := range m.cand {
 				score += v
 			}
-			if best == dag.NoTask || score > bestScore {
-				best, bestScore = id, score
+			if bestAt >= 0 && !scoreBeats(score, bestScore, earlier) {
+				continue
 			}
+			bestScore = score
 		}
+		bestAt, bestSeq = i, seq
 	}
-	if m.tr.Enabled() {
+	qlen := st.QueueLen(alpha)
+	best := m.classes.take(alpha, bestAt)
+	if traced {
 		// A contested pick: record which task won and the smallest
 		// x-utilization of its winning snapshot (the head of the
 		// lexicographic comparison) — the quantity whose flip explains
@@ -306,9 +337,15 @@ func (m *MQB) Pick(st *sim.State, alpha dag.Type) (dag.TaskID, bool) {
 		if m.opts.Balance == BalanceLex {
 			score = m.best[0]
 		}
-		m.tr.Emit(obs.DecisionEv(st.Now(), int64(best), int64(alpha), int64(len(q)), finiteScore(score)))
+		m.tr.Emit(obs.DecisionEv(st.Now(), int64(best), int64(alpha), int64(qlen), finiteScore(score)))
 	}
 	return best, true
+}
+
+// scoreBeats reports whether a scalar score beats the incumbent's: a
+// larger score wins, an equal one only when winTies is set.
+func scoreBeats(score, best float64, winTies bool) bool {
+	return score > best || (score == best && winTies)
 }
 
 // finiteScore clamps a balance score into the finite range the event
@@ -326,15 +363,15 @@ func finiteScore(v float64) float64 {
 // sortBeats reports whether cand's balance vector, once sorted
 // ascending, lexicographically beats best (which is already sorted):
 // at the first differing position the larger value wins — exactly
-// metrics.LexLess(best, sorted(cand)). It selection-sorts cand in
-// place one position at a time and exits as soon as a position decides
-// the comparison, so a candidate losing on the smallest x-utilization
-// — the common case — costs one min-scan instead of a full K-sort.
-// When it returns true, cand is fully sorted and ready to adopt as the
-// new incumbent; when false, cand's tail past the deciding position is
-// unspecified (losing vectors are discarded). Equal vectors return
-// false: ties keep the earlier-ready incumbent.
-func sortBeats(cand, best []float64) bool {
+// metrics.LexLess(best, sorted(cand)). Equal vectors beat only when
+// winTies is set (cand is the earlier-ready candidate). It
+// selection-sorts cand in place one position at a time and exits as
+// soon as a position decides the comparison, so a candidate losing on
+// the smallest x-utilization — the common case — costs one min-scan
+// instead of a full K-sort. When it returns true, cand is fully sorted
+// and ready to adopt as the new incumbent; when false, cand's tail past
+// the deciding position is unspecified (losing vectors are discarded).
+func sortBeats(cand, best []float64, winTies bool) bool {
 	for i := range cand {
 		min := i
 		for j := i + 1; j < len(cand); j++ {
@@ -351,7 +388,7 @@ func sortBeats(cand, best []float64) bool {
 			return true
 		}
 	}
-	return false
+	return winTies
 }
 
 // selectionSort sorts ascending in place. The balance vectors have
@@ -367,4 +404,135 @@ func selectionSort(v []float64) {
 		}
 		v[i], v[min] = v[min], v[i]
 	}
+}
+
+// classQueue is MQB's view of the ready queues, bucketed by descendant
+// class (dag.DescendantClasses): one entry per class with a ready
+// member, plus one per singleton. A class's ready members wait in
+// ReadySeq order, so its head is the member the queue-order scan would
+// reach first; all of them produce the same snapshot, so the head is
+// the only one worth scoring.
+//
+// Like keyedQueue it is fed from the state's enqueue log on each Pick,
+// and the engine starts every task Pick returns, so take pops it. A
+// task that has executed part of its work (preempted, or killed in
+// preemptive mode) has a snapshot of its own: it is enqueued as a
+// singleton. A task back at full work (a non-preemptive kill, a
+// transient failure) rejoins its class at its ReadySeq position.
+type classQueue struct {
+	class []int32 // per task: its class
+
+	// members[start[c]:start[c+1]] is class c's window, sized to the
+	// class; its ready members are members[lo[c]:hi[c]].
+	members []dag.TaskID
+	start   []int32
+	lo, hi  []int32
+
+	// ready[α] lists α's candidates in no particular order: a class c
+	// with ready members as c ≥ 0, a singleton task id as ^id.
+	ready    [][]int32
+	readyBuf []int32
+	drained  []int // per type: log entries already pushed
+}
+
+// reset empties the queue for a run on g with the given classes,
+// keeping storage for reuse.
+func (q *classQueue) reset(g *dag.Graph, class []int32) {
+	n := len(class)
+	nc := 0
+	for _, c := range class {
+		nc = max(nc, int(c)+1)
+	}
+	q.class = class
+	q.members = grow(q.members, n)
+	q.start = grow(q.start, nc+1)
+	q.lo, q.hi = grow(q.lo, nc), grow(q.hi, nc)
+	clear(q.start)
+	for _, c := range class {
+		q.start[c+1]++
+	}
+	for c := 0; c < nc; c++ {
+		q.start[c+1] += q.start[c]
+		q.lo[c], q.hi[c] = q.start[c], q.start[c]
+	}
+	// A type never has more candidates than tasks.
+	k := g.K()
+	q.ready, q.drained = grow(q.ready, k), grow(q.drained, k)
+	q.readyBuf = grow(q.readyBuf, n)
+	flat := q.readyBuf
+	for a, cnt := range g.TypeCount() {
+		q.ready[a], flat = flat[:0:cnt], flat[cnt:]
+		q.drained[a] = 0
+	}
+}
+
+// grow returns s resized to n, reallocating only when s is too short.
+func grow[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
+	}
+	return s[:n]
+}
+
+// drain pushes alpha's enqueues since the last call and returns its
+// candidates.
+func (q *classQueue) drain(st *sim.State, alpha dag.Type) []int32 {
+	log := st.Enqueued(alpha)
+	for _, id := range log[q.drained[alpha]:] {
+		q.push(st, alpha, id)
+	}
+	q.drained[alpha] = len(log)
+	return q.ready[alpha]
+}
+
+func (q *classQueue) push(st *sim.State, alpha dag.Type, id dag.TaskID) {
+	if st.Executed(id) != 0 {
+		q.ready[alpha] = append(q.ready[alpha], ^int32(id))
+		return
+	}
+	c := q.class[id]
+	lo, hi := q.lo[c], q.hi[c]
+	if lo == hi {
+		q.ready[alpha] = append(q.ready[alpha], c)
+	}
+	if hi == q.start[c+1] {
+		// The window's tail is used up; a member is missing, so there
+		// is room at its front.
+		hi = q.start[c] + int32(copy(q.members[q.start[c]:], q.members[lo:hi]))
+		lo = q.start[c]
+	}
+	// First readiness has the largest ReadySeq yet and stays at the
+	// tail; a re-enqueue moves back to its ReadySeq position.
+	seq := st.ReadySeq(id)
+	i := hi
+	for ; i > lo && st.ReadySeq(q.members[i-1]) > seq; i-- {
+		q.members[i] = q.members[i-1]
+	}
+	q.members[i] = id
+	q.lo[c], q.hi[c] = lo, hi+1
+}
+
+// head returns the earliest-ready task of a candidate.
+func (q *classQueue) head(c int32) dag.TaskID {
+	if c < 0 {
+		return dag.TaskID(^c)
+	}
+	return q.members[q.lo[c]]
+}
+
+// take removes and returns the head of alpha's i-th candidate.
+func (q *classQueue) take(alpha dag.Type, i int) dag.TaskID {
+	r := q.ready[alpha]
+	c := r[i]
+	id := q.head(c)
+	if c >= 0 {
+		q.lo[c]++
+		if q.lo[c] < q.hi[c] {
+			return id
+		}
+		q.lo[c], q.hi[c] = q.start[c], q.start[c]
+	}
+	r[i] = r[len(r)-1]
+	q.ready[alpha] = r[:len(r)-1]
+	return id
 }

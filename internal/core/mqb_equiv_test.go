@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"math/rand"
 	"sort"
 	"testing"
@@ -13,27 +14,37 @@ import (
 	"fhs/internal/workload"
 )
 
-// refMQB is the pre-optimization reference formulation of MQB's Pick:
-// re-read the queue state per candidate, build the full snapshot, sort
-// it with the stdlib and compare via metrics.LexLess. The optimized
-// Pick (hoisted state, incremental early-exit selection sort, shared
-// descendant memo) must make bit-identical decisions — this is the
-// schedule-equivalence guard for the hot-path optimization.
+// refMQB is the reference formulation of MQB's Pick: walk the whole
+// ready queue in order, re-read the queue state per candidate, build
+// the full snapshot, sort it with the stdlib and compare via
+// metrics.LexLess (or the ablated scalar rule), keeping the first best
+// candidate. The optimized Pick (class buckets, hoisted state,
+// incremental early-exit selection sort, shared descendant memo) must
+// make bit-identical decisions: this is the schedule-equivalence guard
+// for the hot-path optimizations.
+//
+// Its descendant rows are those MQB would use: recomputed from scratch
+// for precise information, so the check also covers the shared memo,
+// and drawn by an identically seeded MQB for the perturbed models.
 type refMQB struct {
-	opts MQBOptions
-	desc [][]float64
-	cand []float64
-	best []float64
+	opts       MQBOptions
+	desc       [][]float64
+	cand, best []float64
 }
 
 func (*refMQB) Name() string { return "refMQB" }
 
-func (m *refMQB) Prepare(g *dag.Graph, _ sim.Config) error {
-	// Deliberately bypass the shared memo: recompute from scratch, so
-	// the test also cross-checks the cache against a fresh pass.
-	if m.opts.Lookahead == LookaheadOneStep {
+func (m *refMQB) Prepare(g *dag.Graph, cfg sim.Config) error {
+	switch {
+	case m.opts.Info != InfoPrecise:
+		twin := NewMQB(m.opts)
+		if err := twin.Prepare(g, cfg); err != nil {
+			return err
+		}
+		m.desc = twin.desc
+	case m.opts.Lookahead == LookaheadOneStep:
 		m.desc = dag.OneStepTypedDescendantValues(g)
-	} else {
+	default:
 		m.desc = dag.TypedDescendantValues(g)
 	}
 	m.cand = make([]float64, g.K())
@@ -46,15 +57,12 @@ func (m *refMQB) Pick(st *sim.State, alpha dag.Type) (dag.TaskID, bool) {
 	if len(q) == 0 {
 		return dag.NoTask, false
 	}
-	if len(q) == 1 {
-		return q[0], true
-	}
 	k := st.K()
 	best := dag.NoTask
+	var bestScore float64
 	for _, id := range q {
-		row := m.desc[id]
 		for a := 0; a < k; a++ {
-			work := float64(st.QueueWork(dag.Type(a))) + row[a]
+			work := float64(st.QueueWork(dag.Type(a))) + m.desc[id][a]
 			if dag.Type(a) == alpha {
 				work -= float64(st.Remaining(id))
 			}
@@ -66,10 +74,25 @@ func (m *refMQB) Pick(st *sim.State, alpha dag.Type) (dag.TaskID, bool) {
 				m.cand[a] = 0
 			}
 		}
+		var sum float64 // in type order, as MQB sums
+		for _, v := range m.cand {
+			sum += v
+		}
 		sort.Float64s(m.cand)
-		if best == dag.NoTask || metrics.LexLess(m.best, m.cand) {
-			best = id
-			m.best, m.cand = m.cand, m.best
+		switch m.opts.Balance {
+		case BalanceLex:
+			if best == dag.NoTask || metrics.LexLess(m.best, m.cand) {
+				best = id
+				m.best, m.cand = m.cand, m.best
+			}
+		case BalanceMinOnly:
+			if best == dag.NoTask || m.cand[0] > bestScore {
+				best, bestScore = id, m.cand[0]
+			}
+		case BalanceSum:
+			if best == dag.NoTask || sum > bestScore {
+				best, bestScore = id, sum
+			}
 		}
 	}
 	return best, true
@@ -79,81 +102,126 @@ func inf() float64 { return 1.0 / zero }
 
 var zero float64 // 0; defeats constant folding complaints
 
-// equivCase is one randomized instance of the differential check.
-type equivCase struct {
-	g     *dag.Graph
-	procs []int
-	cfg   sim.Config
+// mqbChecker runs MQB and, before every Pick, asks refMQB on the same
+// State. Any disagreement fails the test; agreement on every pick makes
+// the run the schedule refMQB alone would produce.
+type mqbChecker struct {
+	*MQB
+	ref   refMQB
+	t     *testing.T
+	label string
+	picks int
 }
 
-// drawEquivCases samples graphs across classes, typings, K and both
-// execution modes, including fault-timeline machines that drive pool
-// capacities to zero (the Inf branch of the snapshot).
-func drawEquivCases(t *testing.T, n int, seed int64) []equivCase {
-	t.Helper()
-	rng := rand.New(rand.NewSource(seed))
-	classes := []workload.Class{workload.EP, workload.Tree, workload.IR}
-	var cases []equivCase
-	for i := 0; i < n; i++ {
-		k := 1 + rng.Intn(5)
-		cfg := workload.Default(classes[i%len(classes)], k, workload.Typing(i%2))
-		g, err := workload.Generate(cfg, rng)
-		if err != nil {
-			t.Fatal(err)
-		}
-		procs := workload.SmallMachine.Sample(g.K(), rng)
-		sc := sim.Config{Procs: procs, Preemptive: i%2 == 1, CollectTrace: true, Paranoid: true}
-		if i%3 == 2 {
-			fc := fault.Config{MTTF: 120, MTTR: 40, Horizon: 2048, MaxRetries: 80}
-			sc.Faults = fc.NewPlan(procs, rng)
-		}
-		cases = append(cases, equivCase{g: g, procs: procs, cfg: sc})
+func (c *mqbChecker) Prepare(g *dag.Graph, cfg sim.Config) error {
+	c.ref.opts = c.opts
+	if err := c.ref.Prepare(g, cfg); err != nil {
+		return err
 	}
-	return cases
+	return c.MQB.Prepare(g, cfg)
 }
 
-// TestMQBPickEquivalence: the optimized Pick and the reference
-// formulation produce identical schedules — same event trace, same
-// makespan, same decision count — over randomized instances in both
-// engine modes, with the verify auditor running inline (Paranoid) over
-// the optimized path.
+func (c *mqbChecker) Pick(st *sim.State, alpha dag.Type) (dag.TaskID, bool) {
+	wantID, wantOK := c.ref.Pick(st, alpha)
+	id, ok := c.MQB.Pick(st, alpha)
+	if id != wantID || ok != wantOK {
+		c.t.Fatalf("%s: pick %d on pool %d at t=%d (queue %d): classes (%d, %v), scan (%d, %v)",
+			c.label, c.picks, alpha, st.Now(), st.QueueLen(alpha), id, ok, wantID, wantOK)
+	}
+	c.picks++
+	return id, ok
+}
+
+// mqbVariants are the eight registered MQB schedulers: every lookahead
+// and information model, and both ablated balance rules.
+var mqbVariants = []string{
+	"MQB", "MQB+All+Exp", "MQB+All+Noise",
+	"MQB+1Step+Pre", "MQB+1Step+Exp", "MQB+1Step+Noise",
+	"MQB/MinOnly", "MQB/Sum",
+}
+
+// crashToZero is a fault plan whose timeline takes pool 0, and pool 1
+// when there is one, down to zero processors for a while: running tasks
+// there are killed, and the snapshot's fully-crashed-pool branch (0 or
+// +Inf) decides picks in the meantime.
+func crashToZero(procs []int) *fault.Plan {
+	tl := fault.NewTimeline(procs)
+	tl.MustSet(0, 3, 0)
+	tl.MustSet(0, 17, procs[0])
+	if len(procs) > 1 {
+		tl.MustSet(1, 9, 0)
+		tl.MustSet(1, 12, 1)
+		tl.MustSet(1, 25, procs[1])
+	}
+	return &fault.Plan{Timeline: tl, MaxRetries: 1000}
+}
+
+// TestMQBPickEquivalence: for all eight MQB variants, every Pick
+// returns exactly what the full queue scan returns on the same State —
+// over every workload class and typing, in both
+// engine modes, with and without a kill+failure fault plan, and under a
+// timeline that crashes pools to zero processors. The verify auditor
+// runs inline (Paranoid) over the optimized path.
 func TestMQBPickEquivalence(t *testing.T) {
-	for _, la := range []Lookahead{LookaheadAll, LookaheadOneStep} {
-		for _, c := range drawEquivCases(t, 24, int64(42+la)) {
-			opt := NewMQB(MQBOptions{Lookahead: la})
-			ref := &refMQB{opts: MQBOptions{Lookahead: la}}
-			resOpt, errOpt := sim.Run(c.g, opt, c.cfg)
-			resRef, errRef := sim.Run(c.g, ref, c.cfg)
-			if (errOpt == nil) != (errRef == nil) {
-				t.Fatalf("lookahead %v: error divergence: opt=%v ref=%v", la, errOpt, errRef)
-			}
-			if errOpt != nil {
-				continue // both failed identically (e.g. retry budget)
-			}
-			if resOpt.CompletionTime != resRef.CompletionTime {
-				t.Fatalf("lookahead %v: makespan %d (optimized) != %d (reference)",
-					la, resOpt.CompletionTime, resRef.CompletionTime)
-			}
-			if resOpt.Decisions != resRef.Decisions {
-				t.Fatalf("lookahead %v: decisions %d != %d", la, resOpt.Decisions, resRef.Decisions)
-			}
-			if len(resOpt.Trace) != len(resRef.Trace) {
-				t.Fatalf("lookahead %v: trace length %d != %d", la, len(resOpt.Trace), len(resRef.Trace))
-			}
-			for i := range resOpt.Trace {
-				if resOpt.Trace[i] != resRef.Trace[i] {
-					t.Fatalf("lookahead %v: trace event %d: %+v != %+v",
-						la, i, resOpt.Trace[i], resRef.Trace[i])
+	var kills, failures, preemptions, crashedPicks int64
+	// Smaller trees keep the scan reference affordable under -race;
+	// their ready queues stay as wide as the figures' trees.
+	cases := drawKeyedCases(t, 42, func(wc *workload.Config) { wc.Tree.MaxNodes = 2000 })
+	for i, c := range cases {
+		plans := []func(procs []int) sim.Config{c.cfg}
+		if i%4 == 0 {
+			// Crash-to-zero on one case per (class, typing, mode).
+			plans = append(plans, func(procs []int) sim.Config {
+				cfg := c.cfg(procs)
+				cfg.Faults = crashToZero(procs)
+				return cfg
+			})
+		}
+		for p, plan := range plans {
+			for v, name := range mqbVariants {
+				if v > 0 && name != "MQB+1Step+Pre" && (i/4+v)%2 != 0 {
+					// The other six variants share the (class, typing)
+					// groups, so each still sees both modes, both fault
+					// settings and the crash plan.
+					continue
+				}
+				label := fmt.Sprintf("%s/plan%d/%s", c.name, p, name)
+				cfg := plan(c.procs)
+				cfg.Paranoid = true
+				checked := &mqbChecker{MQB: MustNew(name, Params{Seed: 3}).(*MQB), t: t, label: label}
+				res, err := sim.Run(c.g, checked, cfg)
+				if err != nil {
+					// Both sides agreed up to here; only the retry budget
+					// can end a run early.
+					t.Logf("%s: %v", label, err)
+					continue
+				}
+				if checked.picks == 0 && c.g.NumTasks() > 0 {
+					t.Fatalf("%s: checker saw no picks", label)
+				}
+				kills += res.Kills
+				failures += res.Failures
+				for _, ev := range res.Trace {
+					if ev.Kind == sim.EventPreempt {
+						preemptions++
+					}
+					if ev.Kind == sim.EventStart && p == 1 && ev.Time >= 9 && ev.Time < 17 {
+						crashedPicks++
+					}
 				}
 			}
 		}
+	}
+	if kills == 0 || failures == 0 || preemptions == 0 || crashedPicks == 0 {
+		t.Fatalf("cases never exercised a path: %d kills, %d failures, %d preemptions, %d picks while a pool was down",
+			kills, failures, preemptions, crashedPicks)
 	}
 }
 
 // TestSortBeatsMatchesLexLess: property check of the early-exit
 // comparison against the spec — sort both vectors fully, compare with
 // metrics.LexLess — over random vectors including ties, duplicates and
-// infinities.
+// infinities, with and without ties winning.
 func TestSortBeatsMatchesLexLess(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	for trial := 0; trial < 20000; trial++ {
@@ -177,9 +245,14 @@ func TestSortBeatsMatchesLexLess(t *testing.T) {
 		sort.Float64s(sorted)
 		want := metrics.LexLess(best, sorted)
 
-		got := sortBeats(cand, best)
+		winTies := rng.Intn(2) == 0
+		if winTies {
+			// Ties win: cand beats unless it is strictly worse.
+			want = !metrics.LexLess(sorted, best)
+		}
+		got := sortBeats(cand, best, winTies)
 		if got != want {
-			t.Fatalf("sortBeats(%v, %v) = %v, want %v", sorted, best, got, want)
+			t.Fatalf("sortBeats(%v, %v, %v) = %v, want %v", sorted, best, winTies, got, want)
 		}
 		if got {
 			// Winning vectors must come out fully sorted: they become

@@ -1,6 +1,11 @@
 package dag
 
-import "sync"
+import (
+	"cmp"
+	"math"
+	"slices"
+	"sync"
+)
 
 // This file computes the per-task lookahead quantities the paper's
 // offline heuristics consume:
@@ -8,7 +13,8 @@ import "sync"
 //   - scalar descendant values (MaxDP),
 //   - typed descendant values dα(v) (MQB),
 //   - one-step typed descendant values (MQB+1Step),
-//   - different-type-child distance (DType).
+//   - different-type-child distance (DType),
+//   - descendant classes of tasks MQB cannot tell apart.
 //
 // All are derived once per graph in a single reverse-topological pass
 // and returned as plain slices indexed by TaskID, so schedulers can
@@ -35,6 +41,11 @@ type lookaheads struct {
 	scalar      []float64
 	distOnce    sync.Once
 	dist        []int32
+
+	typedClassOnce   sync.Once
+	typedClass       []int32
+	oneStepClassOnce sync.Once
+	oneStepClass     []int32
 }
 
 // SharedTypedDescendantValues returns the memoized
@@ -51,6 +62,26 @@ func (g *Graph) SharedTypedDescendantValues() [][]float64 {
 func (g *Graph) SharedOneStepTypedDescendantValues() [][]float64 {
 	g.look.oneStepOnce.Do(func() { g.look.oneStep = OneStepTypedDescendantValues(g) })
 	return g.look.oneStep
+}
+
+// SharedTypedDescendantClasses returns the memoized DescendantClasses
+// of SharedTypedDescendantValues. The returned slice is shared: it must
+// not be modified. Safe for concurrent use.
+func (g *Graph) SharedTypedDescendantClasses() []int32 {
+	g.look.typedClassOnce.Do(func() {
+		g.look.typedClass = DescendantClasses(g, g.SharedTypedDescendantValues())
+	})
+	return g.look.typedClass
+}
+
+// SharedOneStepTypedDescendantClasses returns the memoized
+// DescendantClasses of SharedOneStepTypedDescendantValues. The returned
+// slice is shared: it must not be modified. Safe for concurrent use.
+func (g *Graph) SharedOneStepTypedDescendantClasses() []int32 {
+	g.look.oneStepClassOnce.Do(func() {
+		g.look.oneStepClass = DescendantClasses(g, g.SharedOneStepTypedDescendantValues())
+	})
+	return g.look.oneStepClass
 }
 
 // SharedDescendantValues returns the memoized DescendantValues result.
@@ -139,6 +170,64 @@ func OneStepTypedDescendantValues(g *Graph) [][]float64 {
 		}
 	}
 	return d
+}
+
+// DescendantClasses partitions the tasks by what MQB sees of them
+// before they run: two tasks share a class exactly when they have the
+// same type, the same work and bit-identical rows in rows, a
+// [TaskID][Type] table such as TypedDescendantValues. Class IDs are dense,
+// numbered in order of each class's lowest TaskID, so class(v) ≤ v.
+//
+// A task is ready in one queue only, and MQB's snapshot for it depends
+// on its row, its type and its remaining work alone, so at full work
+// the members of a class produce bit-equal snapshots.
+func DescendantClasses(g *Graph, rows [][]float64) []int32 {
+	// byClass orders tasks by (type, work, row bits); 0 means same class.
+	byClass := func(a, b int32) int {
+		ta, tb := &g.tasks[a], &g.tasks[b]
+		if c := cmp.Compare(ta.Type, tb.Type); c != 0 {
+			return c
+		}
+		if c := cmp.Compare(ta.Work, tb.Work); c != 0 {
+			return c
+		}
+		ra, rb := rows[a], rows[b]
+		for i := range ra {
+			if c := cmp.Compare(math.Float64bits(ra[i]), math.Float64bits(rb[i])); c != 0 {
+				return c
+			}
+		}
+		return 0
+	}
+	order := make([]int32, g.NumTasks())
+	for i := range order {
+		order[i] = int32(i)
+	}
+	slices.SortFunc(order, func(a, b int32) int {
+		if c := byClass(a, b); c != 0 {
+			return c
+		}
+		return cmp.Compare(a, b)
+	})
+	// class[v] first holds the lowest TaskID of v's class, then, in
+	// TaskID order, that representative's class ID.
+	class := make([]int32, len(order))
+	for i, v := range order {
+		class[v] = v
+		if i > 0 && byClass(order[i-1], v) == 0 {
+			class[v] = class[order[i-1]]
+		}
+	}
+	next := int32(0)
+	for v, rep := range class {
+		if rep == int32(v) {
+			class[v] = next
+			next++
+		} else {
+			class[v] = class[rep]
+		}
+	}
+	return class
 }
 
 // InfDistance marks "no different-type descendant reachable" in the

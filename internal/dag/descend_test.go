@@ -3,6 +3,8 @@ package dag
 import (
 	"math"
 	"math/rand"
+	"slices"
+	"sync"
 	"testing"
 	"testing/quick"
 )
@@ -219,5 +221,89 @@ func TestPropertyTypedDescendantsBoundedByTypedWork(t *testing.T) {
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
+	}
+}
+
+// TestPropertyDescendantClassesExact: two tasks share a class exactly
+// when they have the same type, the same work and bit-equal rows, and
+// class IDs are dense, numbered in order of each class's lowest task.
+func TestPropertyDescendantClassesExact(t *testing.T) {
+	shared := 0
+	f := func(seed int64) bool {
+		g := randomGraph(rand.New(rand.NewSource(seed)))
+		for _, rows := range [][][]float64{TypedDescendantValues(g), OneStepTypedDescendantValues(g)} {
+			class := DescendantClasses(g, rows)
+			next := int32(0)
+			for v := range class {
+				switch {
+				case class[v] == next:
+					next++
+				case class[v] > next:
+					t.Logf("seed %d: task %d has class %d before class %d appeared", seed, v, class[v], next)
+					return false
+				}
+				for u := 0; u < v; u++ {
+					tu, tv := g.Task(TaskID(u)), g.Task(TaskID(v))
+					same := tu.Type == tv.Type && tu.Work == tv.Work
+					for a := range rows[u] {
+						same = same && math.Float64bits(rows[u][a]) == math.Float64bits(rows[v][a])
+					}
+					if same != (class[u] == class[v]) {
+						t.Logf("seed %d: tasks %d, %d: same (type, work, row) %v, classes %d, %d",
+							seed, u, v, same, class[u], class[v])
+						return false
+					}
+					if same {
+						shared++
+					}
+				}
+			}
+		}
+		return true
+	}
+	if err := quick.Check(f, nil); err != nil {
+		t.Error(err)
+	}
+	if shared == 0 {
+		t.Fatal("no two tasks ever shared a class")
+	}
+}
+
+// TestSharedDescendantClassesMemo: concurrent callers all get the one
+// memoized slice, equal to a fresh computation (run with -race).
+func TestSharedDescendantClassesMemo(t *testing.T) {
+	g := randomGraph(rand.New(rand.NewSource(5)))
+	const callers = 8
+	typed := make([][]int32, callers)
+	oneStep := make([][]int32, callers)
+	var wg sync.WaitGroup
+	for i := 0; i < callers; i++ {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			typed[i] = g.SharedTypedDescendantClasses()
+			oneStep[i] = g.SharedOneStepTypedDescendantClasses()
+		}(i)
+	}
+	wg.Wait()
+	for _, c := range []struct {
+		name  string
+		got   [][]int32
+		fresh []int32
+	}{
+		{"typed", typed, DescendantClasses(g, TypedDescendantValues(g))},
+		{"one-step", oneStep, DescendantClasses(g, OneStepTypedDescendantValues(g))},
+	} {
+		for i, s := range c.got {
+			if &s[0] != &c.got[0][0] {
+				t.Fatalf("%s: caller %d got a different slice", c.name, i)
+			}
+		}
+		if !slices.Equal(c.got[0], c.fresh) {
+			t.Fatalf("%s: memo %v != fresh %v", c.name, c.got[0], c.fresh)
+		}
+	}
+	if &g.SharedTypedDescendantClasses()[0] != &typed[0][0] {
+		t.Fatal("a later call recomputed the typed classes")
 	}
 }

@@ -31,10 +31,12 @@ var Memosafety = &Analyzer{
 // declare their own Graph type; in this module the names are unique to
 // *dag.Graph.
 var memoAccessors = map[string]bool{
-	"SharedTypedDescendantValues":        true,
-	"SharedOneStepTypedDescendantValues": true,
-	"SharedDescendantValues":             true,
-	"SharedDifferentTypeDistances":       true,
+	"SharedTypedDescendantValues":         true,
+	"SharedOneStepTypedDescendantValues":  true,
+	"SharedDescendantValues":              true,
+	"SharedDifferentTypeDistances":        true,
+	"SharedTypedDescendantClasses":        true,
+	"SharedOneStepTypedDescendantClasses": true,
 }
 
 func runMemosafety(pass *Pass) error {

@@ -12,6 +12,7 @@ type Graph struct{}
 func (g *Graph) SharedDescendantValues() []float64        { return nil }
 func (g *Graph) SharedTypedDescendantValues() [][]float64 { return nil }
 func (g *Graph) SharedDifferentTypeDistances() []int32    { return nil }
+func (g *Graph) SharedTypedDescendantClasses() []int32    { return nil }
 
 func mutateDirect(g *Graph) {
 	d := g.SharedDescendantValues()
@@ -32,6 +33,12 @@ func mutateAlias(g *Graph) {
 	d := g.SharedDifferentTypeDistances()
 	alias := d
 	alias[0] = 7 // want `write into shared memoized slice`
+}
+
+func mutateClasses(g *Graph) {
+	class := g.SharedTypedDescendantClasses()
+	class[0] = 1         // want `write into shared memoized slice from SharedTypedDescendantClasses`
+	_ = append(class, 2) // want `append reusing shared memoized slice`
 }
 
 func mutateUnbound(g *Graph) {

@@ -176,7 +176,7 @@ func runNonPreemptive(g *dag.Graph, s Scheduler, cfg *Config) (Result, error) {
 				continue
 			}
 			st.remaining[rt.id] = 0
-			st.complete(rt.id, nil)
+			st.complete(rt.id)
 			mets.completed.Inc()
 			mets.runWork.Observe(work)
 			if cfg.CollectTrace {
@@ -346,7 +346,7 @@ func runPreemptive(g *dag.Graph, s Scheduler, cfg *Config) (Result, error) {
 				}
 				continue
 			}
-			st.complete(id, nil)
+			st.complete(id)
 			mets.completed.Inc()
 			mets.runWork.Observe(g.Task(id).Work)
 			if cfg.CollectTrace {

@@ -206,18 +206,16 @@ func (st *State) retry(id dag.TaskID) error {
 }
 
 // complete marks a task finished and enqueues any children whose
-// parents are now all complete. It returns the newly readied tasks.
-func (st *State) complete(id dag.TaskID, readied []dag.TaskID) []dag.TaskID {
+// parents are now all complete.
+func (st *State) complete(id dag.TaskID) {
 	st.completed[id] = true
 	st.nCompleted++
 	for _, c := range st.g.Children(id) {
 		st.pendingParents[c]--
 		if st.pendingParents[c] == 0 {
 			st.enqueue(c)
-			readied = append(readied, c)
 		}
 	}
-	return readied
 }
 
 // readyQueue is one type's ready queue, buf[head:]. Insertion and
