@@ -162,20 +162,16 @@ func (m *MQB) Name() string {
 // descendant values at the configured lookahead — jobs are reused
 // across schedulers and runs, so the reverse-topological pass happens
 // once per (graph, lookahead), not once per Prepare — then perturb a
-// private copy per the information model. A randomized MQB reused
-// across jobs draws fresh noise every Prepare.
+// private copy per the information model, and set up the class
+// buckets Pick scores from. A randomized MQB reused across jobs draws
+// fresh noise every Prepare.
 func (m *MQB) Prepare(g *dag.Graph, cfg sim.Config) error {
 	m.tr = cfg.Obs
-	var (
-		src   [][]float64
-		class []int32
-	)
+	var src [][]float64
 	if m.opts.Lookahead == LookaheadOneStep {
 		src = g.SharedOneStepTypedDescendantValues()
-		class = g.SharedOneStepTypedDescendantClasses()
 	} else {
 		src = g.SharedTypedDescendantValues()
-		class = g.SharedTypedDescendantClasses()
 	}
 	switch m.opts.Info {
 	case InfoPrecise:
@@ -207,10 +203,16 @@ func (m *MQB) Prepare(g *dag.Graph, cfg sim.Config) error {
 	default:
 		return fmt.Errorf("core: unknown MQB info model %d", m.opts.Info)
 	}
-	if m.opts.Info != InfoPrecise {
+	var class []int32
+	switch {
+	case m.opts.Info != InfoPrecise:
 		// Perturbed rows differ from the memoized ones, so their
 		// classes are drawn per run.
 		class = dag.DescendantClasses(g, m.desc)
+	case m.opts.Lookahead == LookaheadOneStep:
+		class = g.SharedOneStepTypedDescendantClasses()
+	default:
+		class = g.SharedTypedDescendantClasses()
 	}
 	m.classes.reset(g, class)
 	k := g.K()

@@ -1,9 +1,7 @@
 package dag
 
 import (
-	"cmp"
 	"math"
-	"slices"
 	"sync"
 )
 
@@ -182,52 +180,53 @@ func OneStepTypedDescendantValues(g *Graph) [][]float64 {
 // on its row, its type and its remaining work alone, so at full work
 // the members of a class produce bit-equal snapshots.
 func DescendantClasses(g *Graph, rows [][]float64) []int32 {
-	// byClass orders tasks by (type, work, row bits); 0 means same class.
-	byClass := func(a, b int32) int {
-		ta, tb := &g.tasks[a], &g.tasks[b]
-		if c := cmp.Compare(ta.Type, tb.Type); c != 0 {
-			return c
+	same := func(u, v int) bool {
+		if g.tasks[u].Type != g.tasks[v].Type || g.tasks[u].Work != g.tasks[v].Work {
+			return false
 		}
-		if c := cmp.Compare(ta.Work, tb.Work); c != 0 {
-			return c
-		}
-		ra, rb := rows[a], rows[b]
-		for i := range ra {
-			if c := cmp.Compare(math.Float64bits(ra[i]), math.Float64bits(rb[i])); c != 0 {
-				return c
+		for a, x := range rows[u] {
+			if math.Float64bits(x) != math.Float64bits(rows[v][a]) {
+				return false
 			}
 		}
-		return 0
+		return true
 	}
-	order := make([]int32, g.NumTasks())
-	for i := range order {
-		order[i] = int32(i)
-	}
-	slices.SortFunc(order, func(a, b int32) int {
-		if c := byClass(a, b); c != 0 {
-			return c
+	class := make([]int32, g.NumTasks())
+	// rep[c] is class c's lowest task; prev[c] the class found before c
+	// under the same hash, or -1. Collisions are resolved by comparing
+	// with each representative, so the hash only affects speed.
+	var rep, prev []int
+	latest := make(map[uint64]int32, len(class))
+	for v := range class {
+		t := &g.tasks[v]
+		h := mix(mix(0, uint64(t.Type)), uint64(t.Work))
+		for _, x := range rows[v] {
+			h = mix(h, math.Float64bits(x))
 		}
-		return cmp.Compare(a, b)
-	})
-	// class[v] first holds the lowest TaskID of v's class, then, in
-	// TaskID order, that representative's class ID.
-	class := make([]int32, len(order))
-	for i, v := range order {
-		class[v] = v
-		if i > 0 && byClass(order[i-1], v) == 0 {
-			class[v] = class[order[i-1]]
+		c, ok := latest[h]
+		for ok && !same(rep[c], v) {
+			ok = prev[c] >= 0
+			c = int32(prev[c])
 		}
-	}
-	next := int32(0)
-	for v, rep := range class {
-		if rep == int32(v) {
-			class[v] = next
-			next++
-		} else {
-			class[v] = class[rep]
+		if !ok {
+			c = int32(len(rep))
+			rep = append(rep, v)
+			if p, seen := latest[h]; seen {
+				prev = append(prev, int(p))
+			} else {
+				prev = append(prev, -1)
+			}
+			latest[h] = c
 		}
+		class[v] = c
 	}
 	return class
+}
+
+// mix folds x into the running hash h.
+func mix(h, x uint64) uint64 {
+	h = (h ^ x) * 0x9e3779b97f4a7c15
+	return h ^ h>>29
 }
 
 // InfDistance marks "no different-type descendant reachable" in the
