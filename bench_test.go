@@ -1,12 +1,12 @@
 package fhs
 
 // One benchmark per table/figure of the paper's evaluation (Section V),
-// plus micro-benchmarks of the hot paths. The figure benchmarks run a
-// reduced instance count per iteration (the paper uses 5000; use
-// cmd/fhsim for full-scale runs) and report the aggregated mean
-// completion-time ratios as custom metrics, so `go test -bench` output
-// doubles as a quick reproduction check: compare e.g.
-// KGreedy_ratio vs MQB_ratio against EXPERIMENTS.md.
+// plus the balance-rule ablations and a lower-bound micro-benchmark.
+// The figure benchmarks run a reduced instance count per iteration
+// (the paper uses 5000; use cmd/fhsim for full-scale runs) and report
+// the aggregated mean completion-time ratios as custom metrics, so
+// `go test -bench` output doubles as a quick reproduction check:
+// compare e.g. KGreedy_ratio vs MQB_ratio against EXPERIMENTS.md.
 
 import (
 	"fmt"
@@ -15,9 +15,7 @@ import (
 	"testing"
 
 	"fhs/internal/core"
-	"fhs/internal/dag"
 	"fhs/internal/exp"
-	"fhs/internal/flex"
 	"fhs/internal/metrics"
 	"fhs/internal/sim"
 	"fhs/internal/theory"
@@ -132,61 +130,20 @@ func BenchmarkLowerBoundAdversarial(b *testing.B) {
 	}
 }
 
-// Micro-benchmarks of the hot paths.
-
-func benchJob(b *testing.B, class workload.Class) (*dag.Graph, []int) {
-	b.Helper()
+// BenchmarkLowerBound times metrics.LowerBound on one default-scale
+// layered tree job. The other hot paths (engine runs, descendant
+// values, generation) are timed per layer by the fhbench suite
+// (internal/bench), which commits its numbers.
+func BenchmarkLowerBound(b *testing.B) {
 	rng := rand.New(rand.NewSource(3))
-	g, err := workload.Generate(workload.Default(class, 4, workload.Layered), rng)
+	g, err := workload.Generate(workload.DefaultTree(4, workload.Layered), rng)
 	if err != nil {
 		b.Fatal(err)
 	}
-	return g, []int{15, 15, 15, 15}
-}
-
-func benchScheduler(b *testing.B, name string, class workload.Class, preemptive bool) {
-	b.Helper()
-	g, procs := benchJob(b, class)
-	s := core.MustNew(name, core.Params{Seed: 1})
-	cfg := sim.Config{Procs: procs, Preemptive: preemptive}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := sim.Run(g, s, cfg); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkEngineKGreedyIR(b *testing.B)    { benchScheduler(b, "KGreedy", workload.IR, false) }
-func BenchmarkEngineMQBIR(b *testing.B)        { benchScheduler(b, "MQB", workload.IR, false) }
-func BenchmarkEngineShiftBTIR(b *testing.B)    { benchScheduler(b, "ShiftBT", workload.IR, false) }
-func BenchmarkEngineMQBTree(b *testing.B)      { benchScheduler(b, "MQB", workload.Tree, false) }
-func BenchmarkEnginePreemptiveIR(b *testing.B) { benchScheduler(b, "KGreedy", workload.IR, true) }
-
-func BenchmarkTypedDescendantValues(b *testing.B) {
-	g, _ := benchJob(b, workload.IR)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		dag.TypedDescendantValues(g)
-	}
-}
-
-func BenchmarkLowerBound(b *testing.B) {
-	g, procs := benchJob(b, workload.Tree)
+	procs := []int{15, 15, 15, 15}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := metrics.LowerBound(g, procs); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkGenerateLayeredIR(b *testing.B) {
-	cfg := workload.DefaultIR(4, workload.Layered)
-	rng := rand.New(rand.NewSource(1))
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := workload.Generate(cfg, rng); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -233,43 +190,4 @@ func BenchmarkAblationMQBLookahead(b *testing.B) {
 		Seed:       1,
 	}}
 	runPanels(b, specs)
-}
-
-// BenchmarkExtensionJIT measures the future-work extension from the
-// paper's conclusion: how much completion time JIT task flexibility
-// recovers on layered EP jobs, per dispatch policy, as the flexible
-// fraction grows (foreign binaries 1.5x slower).
-func BenchmarkExtensionJIT(b *testing.B) {
-	const instances = 30
-	procs := []int{3, 3, 3, 3}
-	fracs := []float64{0, 0.5, 1}
-	policies := map[string]func() flex.Policy{
-		"Greedy":  func() flex.Policy { return flex.NewGreedy() },
-		"Balance": func() flex.Policy { return flex.NewBalance() },
-	}
-	results := map[string]float64{}
-	for i := 0; i < b.N; i++ {
-		for _, frac := range fracs {
-			for name, mk := range policies {
-				var sum float64
-				for inst := 0; inst < instances; inst++ {
-					rng := rand.New(rand.NewSource(int64(9000 + inst)))
-					g, err := workload.Generate(workload.DefaultEP(4, workload.Layered), rng)
-					if err != nil {
-						b.Fatal(err)
-					}
-					j := flex.FromGraph(g, frac, 1.5, rng)
-					res, err := flex.Run(j, mk(), procs)
-					if err != nil {
-						b.Fatal(err)
-					}
-					sum += float64(res.CompletionTime)
-				}
-				results[fmt.Sprintf("%s_flex%.0f", name, frac*100)] = sum / instances
-			}
-		}
-	}
-	for name, mean := range results {
-		b.ReportMetric(mean, name)
-	}
 }

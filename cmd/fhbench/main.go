@@ -17,6 +17,9 @@
 //
 //	fhbench -compare old.json new.json [-gate 0.25] [-noise 0.05]
 //
+// Reports with a different seed, instance count or gomaxprocs are
+// refused (exit 1): they measured different work or parallelism.
+//
 // The committed baseline lives at BENCH_1.json; CI runs the ci-scale
 // suite and compares against it (warn-only on pull requests, hard
 // gate on main). See the Performance section of EXPERIMENTS.md.

@@ -94,22 +94,3 @@ func ExampleGenerateWorkload() {
 	// KGreedy within 2x of the bound: false
 	// MQB within 2x of the bound: true
 }
-
-// ExampleSimulateFlex shows a JIT-compilable kernel choosing its pool.
-func ExampleSimulateFlex() {
-	b := fhs.NewFlexJobBuilder(2)
-	load := b.AddTask([]int64{4, fhs.FlexNoWork}) // CPU only
-	kern := b.AddTask([]int64{12, 6})             // CPU or GPU, GPU 2x faster
-	b.AddEdge(load, kern)
-	job, err := b.Build()
-	if err != nil {
-		panic(err)
-	}
-	res, err := fhs.SimulateFlex(job, fhs.NewFlexBestFit(), []int{1, 1})
-	if err != nil {
-		panic(err)
-	}
-	fmt.Println("completion:", res.CompletionTime, "GPU tasks:", res.Placed[1])
-	// Output:
-	// completion: 10 GPU tasks: 1
-}

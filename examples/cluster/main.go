@@ -1,15 +1,16 @@
 // Cluster: a day in the life of a Cosmos-style cluster — a stream of
-// heterogeneous analysis jobs arriving over time, scheduled by four
-// cross-job policies:
+// heterogeneous analysis jobs arriving over time on one shared
+// machine, run through the online service core behind cmd/fhd under
+// its two schedulers:
 //
-//   - GlobalGreedy: online FIFO over all released work,
-//   - FCFS: strict job arrival order (convoy effect on display),
-//   - SRPT: shortest-remaining-work job first (flow-time optimizer),
-//   - BalancedMQB: the paper's utilization balancing applied to the
-//     merged queues of all jobs.
+//   - KGreedy: FIFO over every released ready task of the freed type,
+//   - MQB: the paper's utilization balancing over the merged queues of
+//     all jobs.
 //
-// The program reports makespan, mean flow time and max flow time over
-// a batch of streams. Run with:
+// The program generates a batch of arrival traces of small layered-EP
+// jobs, replays each one under both schedulers and reports the mean
+// makespan and mean flow time (completion minus arrival) over the
+// batch. Run with:
 //
 //	go run ./examples/cluster
 package main
@@ -19,57 +20,51 @@ import (
 	"log"
 	"math/rand"
 
-	"fhs"
+	"fhs/internal/service"
 )
 
 func main() {
 	log.SetFlags(0)
 
 	const (
-		k        = 4
-		streams  = 30
-		jobsPer  = 6
-		interArr = 40.0
+		traces  = 30
+		jobsPer = 20
 	)
 	procs := []int{4, 4, 4, 4}
-	policies := []func() fhs.StreamPolicy{
-		fhs.NewGlobalGreedy, fhs.NewFCFS, fhs.NewSRPT, fhs.NewBalancedMQB,
-	}
+	scheds := []string{"KGreedy", "MQB"}
 
-	type agg struct{ makespan, meanFlow, maxFlow float64 }
-	sums := make([]agg, len(policies))
-	for i := 0; i < streams; i++ {
-		rng := rand.New(rand.NewSource(int64(4000 + i)))
-		cfg := fhs.StreamConfig{
-			Jobs:             jobsPer,
-			Workload:         fhs.DefaultWorkloadConfig(fhs.EPWorkload, k, fhs.LayeredTyping),
-			MeanInterarrival: interArr,
-		}
-		// Keep jobs modest so several overlap in the machine.
-		cfg.Workload.EP.BranchesMin, cfg.Workload.EP.BranchesMax = 8, 16
-		stream, err := fhs.GenerateJobStream(cfg, rng)
+	type agg struct{ makespan, meanFlow float64 }
+	sums := make([]agg, len(scheds))
+	for i := 0; i < traces; i++ {
+		ops, err := service.GenerateTrace(service.GenConfig{
+			Jobs:     jobsPer,
+			MeanGap:  4,
+			Classes:  []string{"ep"},
+			K:        len(procs),
+			SeedBase: int64(4000 + i*jobsPer),
+		}, rand.New(rand.NewSource(int64(4000+i))))
 		if err != nil {
 			log.Fatal(err)
 		}
-		for p, mk := range policies {
-			res, err := fhs.SimulateStream(stream, mk(), procs)
+		for s, name := range scheds {
+			res, err := service.Replay(service.Config{Procs: procs, Scheduler: name}, ops)
 			if err != nil {
 				log.Fatal(err)
 			}
-			sums[p].makespan += float64(res.Makespan)
-			sums[p].meanFlow += res.MeanFlow(stream)
-			sums[p].maxFlow += float64(res.MaxFlow(stream))
+			var flow int64
+			var done int
+			for _, t := range res.Summary.Tenants {
+				flow += t.FlowSum
+				done += t.Done
+			}
+			sums[s].makespan += float64(res.Makespan)
+			sums[s].meanFlow += float64(flow) / float64(done)
 		}
 	}
 
-	fmt.Printf("%d streams of %d layered-EP jobs on machine %v:\n\n", streams, jobsPer, procs)
-	fmt.Printf("%-14s  %10s  %10s  %10s\n", "policy", "makespan", "mean flow", "max flow")
-	names := []string{"GlobalGreedy", "FCFS", "SRPT", "BalancedMQB"}
-	for p := range policies {
-		fmt.Printf("%-14s  %10.1f  %10.1f  %10.1f\n", names[p],
-			sums[p].makespan/streams, sums[p].meanFlow/streams, sums[p].maxFlow/streams)
+	fmt.Printf("%d traces of %d layered-EP jobs on machine %v:\n\n", traces, jobsPer, procs)
+	fmt.Printf("%-8s  %10s  %10s\n", "sched", "makespan", "mean flow")
+	for s, name := range scheds {
+		fmt.Printf("%-8s  %10.1f  %10.1f\n", name, sums[s].makespan/traces, sums[s].meanFlow/traces)
 	}
-	fmt.Println("\nBalancedMQB gets the best makespan — the paper's utilization")
-	fmt.Println("balancing carries over to merged multi-job queues — while SRPT is")
-	fmt.Println("the flow-time specialist; global FIFO trails everything.")
 }

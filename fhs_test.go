@@ -100,3 +100,31 @@ func TestFacadeBounds(t *testing.T) {
 		t.Errorf("bounds lb=%g ub=%g", lb, ub)
 	}
 }
+
+func TestWorkloadFacadeHelpers(t *testing.T) {
+	if got := SkewMachine([]int{10, 10}, 5); got[0] != 2 || got[1] != 10 {
+		t.Errorf("SkewMachine = %v", got)
+	}
+	specs, err := FigureSpecs("4", ExperimentOptions{Instances: 3, Seed: 1})
+	if err != nil || len(specs) != 6 {
+		t.Errorf("FigureSpecs: %d specs, %v", len(specs), err)
+	}
+	if _, err := FigureSpecs("99", ExperimentOptions{}); err == nil {
+		t.Error("FigureSpecs accepted unknown figure")
+	}
+	opt, err := AdversarialOptimum([]int{3, 3}, 4)
+	if err != nil || opt != 13 {
+		t.Errorf("AdversarialOptimum = %d, %v", opt, err)
+	}
+	online, err := AdversarialExpectedOnline([]int{3, 3}, 4)
+	if err != nil || online <= float64(opt) {
+		t.Errorf("AdversarialExpectedOnline = %g, %v", online, err)
+	}
+	if SmallMachine.MaxPerType != 5 || MediumMachine.MinPerType != 10 {
+		t.Error("machine presets wrong")
+	}
+	job, err := NewAdversarialJob(AdversarialConfig{Procs: []int{2, 2}, M: 2}, rand.New(rand.NewSource(1)))
+	if err != nil || job.Graph.NumTasks() == 0 {
+		t.Errorf("NewAdversarialJob: %v", err)
+	}
+}

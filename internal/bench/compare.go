@@ -110,14 +110,20 @@ func (c *Comparison) Drifted() []string {
 }
 
 // Compare diffs two reports benchmark by benchmark. Reports must share
-// the schema (enforced at load time) and the scale — differing seed or
-// instance counts would compare different work, so that is an error
-// rather than a wall of bogus deltas.
+// the schema (enforced at load time), the scale and GOMAXPROCS —
+// differing seed or instance counts would compare different work, and
+// differing GOMAXPROCS different parallelism (exp rows size their
+// worker pools from it), so either is an error rather than a wall of
+// bogus deltas.
 func Compare(old, new *Report, g Gate) (*Comparison, error) {
 	g = g.fillDefaults()
 	if old.Seed != new.Seed || old.Instances != new.Instances {
 		return nil, fmt.Errorf("bench: scale mismatch: old seed=%d instances=%d, new seed=%d instances=%d",
 			old.Seed, old.Instances, new.Seed, new.Instances)
+	}
+	if old.GOMAXPROCS != new.GOMAXPROCS {
+		return nil, fmt.Errorf("bench: gomaxprocs mismatch: old %d, new %d (rerun with GOMAXPROCS=%d)",
+			old.GOMAXPROCS, new.GOMAXPROCS, old.GOMAXPROCS)
 	}
 	c := &Comparison{Gate: g}
 	seen := make(map[string]bool, len(old.Results))

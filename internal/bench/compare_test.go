@@ -149,8 +149,8 @@ func TestCompareFingerprintMismatch(t *testing.T) {
 	}
 }
 
-// TestCompareScaleMismatch: differing seed or instance count is an
-// error, not a wall of bogus deltas.
+// TestCompareScaleMismatch: differing seed, instance count or
+// GOMAXPROCS is an error, not a wall of bogus deltas.
 func TestCompareScaleMismatch(t *testing.T) {
 	old := report(nil)
 	new := report(nil)
@@ -162,6 +162,11 @@ func TestCompareScaleMismatch(t *testing.T) {
 	new.Instances = 99
 	if _, err := Compare(old, new, Gate{}); err == nil {
 		t.Fatal("instance-count mismatch did not error")
+	}
+	new.Instances = old.Instances
+	new.GOMAXPROCS = old.GOMAXPROCS + 1
+	if _, err := Compare(old, new, Gate{}); err == nil {
+		t.Fatal("gomaxprocs mismatch did not error")
 	}
 }
 

@@ -45,8 +45,8 @@ func Suite() []Benchmark {
 }
 
 // benchGraph draws the suite's standard fixed graph for a workload
-// class: the same distribution the engine micro-benchmarks in
-// bench_test.go use, seeded from the scale.
+// class: a default-scale layered job with K=4 on 15 processors per
+// type, seeded from the scale.
 func benchGraph(sc Scale, class workload.Class) (*dag.Graph, []int, error) {
 	rng := rand.New(rand.NewSource(sc.Seed + 2))
 	g, err := workload.Generate(workload.Default(class, 4, workload.Layered), rng)

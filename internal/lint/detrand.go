@@ -35,7 +35,6 @@ var detrandScope = []string{
 	"fhs/internal/sim",
 	"fhs/internal/fault",
 	"fhs/internal/exp",
-	"fhs/internal/multi",
 	"fhs/internal/opt",
 	"fhs/internal/service",
 	// The load harness is deterministic by contract (reports are

@@ -136,7 +136,7 @@ func TestSharedLoaderCaches(t *testing.T) {
 func TestDetrandScope(t *testing.T) {
 	for _, in := range []string{
 		"fhs/internal/core", "fhs/internal/dag", "fhs/internal/sim",
-		"fhs/internal/fault", "fhs/internal/exp", "fhs/internal/multi", "fhs/internal/opt",
+		"fhs/internal/fault", "fhs/internal/exp", "fhs/internal/opt",
 	} {
 		if !Detrand.Applies(in) {
 			t.Errorf("detrand should apply to %s", in)
@@ -162,7 +162,7 @@ func TestDetrandScope(t *testing.T) {
 func TestDataflowScope(t *testing.T) {
 	for _, in := range []string{
 		"fhs/internal/service", "fhs/internal/service/wal",
-		"fhs/internal/obs", "fhs/internal/multi", "fhs/internal/crashpoint",
+		"fhs/internal/obs", "fhs/internal/crashpoint",
 	} {
 		if !Locksafe.Applies(in) {
 			t.Errorf("locksafe should apply to %s", in)

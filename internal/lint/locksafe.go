@@ -47,15 +47,12 @@ var Locksafe = &Analyzer{
 	Applies: locksafeApplies,
 }
 
-// locksafeScope: the packages with shared mutable state. The engines
-// (core, sim, multi) are single-goroutine by construction; multi starts
-// no goroutines outside its tests and stays in scope only so that a
-// lock added there is checked from the start. wal is single-owner yet
-// rides along under internal/service.
+// locksafeScope: the packages with shared mutable state. The batch
+// engines (core, sim) are single-goroutine by construction and stay
+// out. wal is single-owner yet rides along under internal/service.
 var locksafeScope = []string{
 	"fhs/internal/service",
 	"fhs/internal/obs",
-	"fhs/internal/multi",
 	"fhs/internal/crashpoint",
 }
 

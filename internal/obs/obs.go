@@ -1,9 +1,9 @@
 // Package obs is the repo's zero-dependency observability layer: a
 // deterministic, allocation-disciplined event tracer plus a
-// counter/gauge/histogram registry, shared by the single-job engines
+// counter/gauge/histogram registry, shared by the single-job engine
 // (internal/sim), the scheduler pick paths (internal/core), the fault
-// injector's capacity breakpoints and the multi-job stream engine
-// (internal/multi).
+// injector's capacity breakpoints and the online multi-job core
+// (internal/service).
 //
 // Design constraints, in order:
 //
@@ -128,7 +128,7 @@ func TaskEv(k Kind, t, task, typ int64) Event {
 }
 
 // JobTaskEv builds a task lifecycle event carrying a job index, for
-// the multi-job stream engine.
+// the online multi-job core (internal/service).
 func JobTaskEv(k Kind, t, job, task, typ int64) Event {
 	return Event{Time: t, Kind: k, Task: task, Job: job, Type: typ}
 }

@@ -64,8 +64,8 @@ func (KGreedy) Pick(*View, dag.Type, []Cand) (int, float64) { return 0, 0 }
 // carries its own job's typed descendant values, and the pool runs the
 // candidate whose descendant contribution, added to the live queues,
 // best balances the sorted x-utilizations (the max-min comparison of
-// internal/multi's BalancedMQB — keep the lexicographically greatest
-// ascending profile; ties keep the oldest candidate).
+// core.MQB — keep the lexicographically greatest ascending profile;
+// ties keep the oldest candidate).
 type MQB struct {
 	cand []float64
 	best []float64

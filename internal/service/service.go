@@ -5,13 +5,12 @@
 // submit / status / cancel with per-tenant admission quotas, job
 // priorities and a deterministic fair-share policy.
 //
-// Where internal/multi replays a complete, pre-declared stream, the
-// service core is a server: jobs appear one Submit at a time, the
-// future workload is unknown, and cancellation can retract queued work
-// at any instant. The scheduling step itself is the same non-
-// preemptive typed-pool model as the offline engines — a freed
-// α-processor runs one ready α-task to completion — so results are
-// directly comparable.
+// Where internal/sim runs one fully known job, the service core is a
+// server: jobs appear one Submit at a time, the future workload is
+// unknown, and cancellation can retract queued work at any instant.
+// The scheduling step itself is the same non-preemptive typed-pool
+// model as the offline engine — a freed α-processor runs one ready
+// α-task to completion — so results are directly comparable.
 //
 // Determinism contract: the core consumes no wall clock and no global
 // randomness. Simulation time advances only through AdvanceTo/Drain,
