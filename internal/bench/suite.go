@@ -160,12 +160,14 @@ func generateBench(class workload.Class) func(Scale) (func() (Fingerprint, error
 	}
 }
 
-// lexKernelBench measures the metrics decision kernel — SortedXUtils
-// followed by a LexLess tournament, the exact comparison MQB performs
-// per candidate — over a fixed batch of load vectors, plus the graph
-// lower bounds. Batching keeps the op in the microsecond range: a
-// single LowerBound or LexLess call is a handful of nanoseconds, far
-// too small to compare reliably under a relative regression gate.
+// lexKernelBench measures MQB's balance kernel (core.Balancer), the
+// snapshot and lexicographic comparison both MQB pickers run per
+// candidate, as a tournament over a fixed batch of load vectors, plus
+// the graph lower bounds. Each load vector is offered as a descendant
+// row over zero queued work with nothing removed, so its snapshot is
+// load/procs. Batching keeps the op in the microsecond range: a
+// single LowerBound or Offer call is a handful of nanoseconds, far too
+// small to compare reliably under a relative regression gate.
 func lexKernelBench(sc Scale) (func() (Fingerprint, error), error) {
 	const (
 		graphs  = 64
@@ -189,6 +191,7 @@ func lexKernelBench(sc Scale) (func() (Fingerprint, error), error) {
 			loads[i][a] = float64(rng.Intn(1 << 16))
 		}
 	}
+	var bal core.Balancer
 	return func() (Fingerprint, error) {
 		var sum float64
 		for _, g := range gs {
@@ -198,17 +201,17 @@ func lexKernelBench(sc Scale) (func() (Fingerprint, error), error) {
 			}
 			sum += lb
 		}
-		best := metrics.SortedXUtils(loads[0], procs)
-		for _, load := range loads[1:] {
-			cand := metrics.SortedXUtils(load, procs)
-			if metrics.LexLess(best, cand) {
-				best = cand
-			}
+		base, pools := bal.Reset(len(procs))
+		for a, p := range procs {
+			base[a], pools[a] = 0, float64(p)
+		}
+		for _, load := range loads {
+			bal.Offer(0, load, 0, false)
 		}
 		return Fingerprint{
 			Instances: graphs,
 			Decisions: vectors,
-			Checksum:  sum + best[0],
+			Checksum:  sum + bal.Score(),
 		}, nil
 	}, nil
 }

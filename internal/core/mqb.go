@@ -57,36 +57,6 @@ func (i Info) String() string {
 	}
 }
 
-// Balance selects how MQB compares two candidate queue snapshots.
-// The paper's rule is BalanceLex; the alternatives exist for ablation
-// studies of that design choice (see bench_test.go).
-type Balance int
-
-const (
-	// BalanceLex is the paper's rule: sort the x-utilizations rα
-	// ascending and compare lexicographically, larger first-difference
-	// wins. Raising the smallest queue dominates; ties cascade to the
-	// next-smallest.
-	BalanceLex Balance = iota
-	// BalanceMinOnly compares only the smallest x-utilization — the
-	// ablated rule without the lexicographic cascade.
-	BalanceMinOnly
-	// BalanceSum compares the total queued work Σ rα — a rule that
-	// measures activation volume but ignores balance entirely.
-	BalanceSum
-)
-
-func (b Balance) String() string {
-	switch b {
-	case BalanceMinOnly:
-		return "MinOnly"
-	case BalanceSum:
-		return "Sum"
-	default:
-		return "Lex"
-	}
-}
-
 // MQBOptions configures an MQB instance. The zero value is the paper's
 // full-information algorithm (MQB+All+Pre).
 type MQBOptions struct {
@@ -126,17 +96,14 @@ type MQB struct {
 	// scores one task per class instead of every ready task.
 	classes classQueue
 
-	// Scratch buffers reused across Pick calls to stay allocation-free
-	// on the hot path: candidate/incumbent balance vectors plus the
-	// per-call hoisted queue loads and pool sizes.
-	cand, best  []float64
-	base, procs []float64
+	// bal scores the candidates of each Pick.
+	bal Balancer
 }
 
 // NewMQB returns a Multi-Queue Balancing scheduler with the given
 // information model.
 func NewMQB(opts MQBOptions) *MQB {
-	m := &MQB{opts: opts}
+	m := &MQB{opts: opts, bal: Balancer{Rule: opts.Balance}}
 	if opts.Info != InfoPrecise {
 		m.rng = newRand(opts.Seed)
 	}
@@ -215,11 +182,6 @@ func (m *MQB) Prepare(g *dag.Graph, cfg sim.Config) error {
 		class = g.SharedTypedDescendantClasses()
 	}
 	m.classes.reset(g, class)
-	k := g.K()
-	m.cand = make([]float64, k)
-	m.best = make([]float64, k)
-	m.base = make([]float64, k)
-	m.procs = make([]float64, k)
 	return nil
 }
 
@@ -235,24 +197,19 @@ func copyRows(src [][]float64, k int) [][]float64 {
 	return d
 }
 
-// Pick implements sim.Scheduler. For each candidate ready α-task v it
-// forms the hypothetical queue snapshot where v has left the α-queue
-// (removing its remaining work) and v's descendant estimates have been
-// added to every queue, and keeps the candidate whose snapshot has the
-// best balance. Ties keep the earliest-ready candidate.
+// Pick implements sim.Scheduler. It offers each candidate ready α-task
+// v to the Balancer, which scores the hypothetical queue snapshot where
+// v has left the α-queue (removing its remaining work) and v's
+// descendant estimates have been added to every queue, and keeps the
+// candidate whose snapshot has the best balance. Ties keep the
+// earliest-ready candidate.
 //
 // Ready tasks of one descendant class produce bit-equal snapshots, so
 // only each class's earliest-ready member is scored (see classQueue);
 // between classes a tie goes to the lower ReadySeq, which is the
-// queue-order scan's rule. Between candidates only the α-queue term and
-// the candidate's descendant row change, so the queue loads and pool
-// sizes are hoisted out of the candidate loop, and the paper's
-// lexicographic rule is evaluated by sortBeats — an incremental
-// selection sort that exits at the first position deciding the
-// comparison instead of fully sorting every snapshot. The decision
-// sequence is bit-identical to scoring every ready task with a full
-// sort and LexLess (asserted before every Pick by the differential
-// test in mqb_equiv_test.go).
+// queue-order scan's rule. The decision sequence is bit-identical to
+// scoring every ready task with a full sort and LexLess (asserted
+// before every Pick by the differential test in mqb_equiv_test.go).
 func (m *MQB) Pick(st *sim.State, alpha dag.Type) (dag.TaskID, bool) {
 	cands := m.classes.drain(st, alpha)
 	if len(cands) == 0 {
@@ -265,89 +222,27 @@ func (m *MQB) Pick(st *sim.State, alpha dag.Type) (dag.TaskID, bool) {
 		return m.classes.take(alpha, 0), true
 	}
 	k := st.K()
-	base, procs := m.base[:k], m.procs[:k]
+	base, procs := m.bal.Reset(k)
 	for a := 0; a < k; a++ {
 		base[a] = float64(st.QueueWork(dag.Type(a)))
 		procs[a] = float64(st.Procs(dag.Type(a)))
 	}
-	bestAt := -1
-	var (
-		bestSeq   int64
-		bestScore float64
-	)
+	bestAt := 0
+	var bestSeq int64
 	for i, c := range cands {
 		id := m.classes.head(c)
 		seq := st.ReadySeq(id)
-		row := m.desc[id]
-		rem := float64(st.Remaining(id))
-		for a := 0; a < k; a++ {
-			work := base[a] + row[a]
-			if dag.Type(a) == alpha {
-				work -= rem
-			}
-			// A fully crashed pool (fault timelines can drive Pα(t) to 0)
-			// has infinite x-utilization for any pending work, not NaN.
-			if procs[a] > 0 {
-				m.cand[a] = work / procs[a]
-			} else if work > 0 {
-				m.cand[a] = math.Inf(1)
-			} else {
-				m.cand[a] = 0
-			}
+		if m.bal.Offer(alpha, m.desc[id], float64(st.Remaining(id)), seq < bestSeq) {
+			bestAt, bestSeq = i, seq
 		}
-		earlier := seq < bestSeq
-		switch m.opts.Balance {
-		case BalanceLex:
-			if bestAt < 0 {
-				selectionSort(m.cand)
-			} else if !sortBeats(m.cand, m.best, earlier) {
-				continue
-			}
-			m.best, m.cand = m.cand, m.best
-		case BalanceMinOnly:
-			score := m.cand[0]
-			for _, v := range m.cand[1:] {
-				if v < score {
-					score = v
-				}
-			}
-			if bestAt >= 0 && !scoreBeats(score, bestScore, earlier) {
-				continue
-			}
-			bestScore = score
-		case BalanceSum:
-			var score float64
-			for _, v := range m.cand {
-				score += v
-			}
-			if bestAt >= 0 && !scoreBeats(score, bestScore, earlier) {
-				continue
-			}
-			bestScore = score
-		}
-		bestAt, bestSeq = i, seq
 	}
 	qlen := st.QueueLen(alpha)
 	best := m.classes.take(alpha, bestAt)
 	if traced {
-		// A contested pick: record which task won and the smallest
-		// x-utilization of its winning snapshot (the head of the
-		// lexicographic comparison) — the quantity whose flip explains
-		// why MQB changed its mind between steps. For the ablated
-		// rules the recorded score is their scalar objective.
-		score := bestScore
-		if m.opts.Balance == BalanceLex {
-			score = m.best[0]
-		}
-		m.tr.Emit(obs.DecisionEv(st.Now(), int64(best), int64(alpha), int64(qlen), finiteScore(score)))
+		// A contested pick: record which task won and its score.
+		m.tr.Emit(obs.DecisionEv(st.Now(), int64(best), int64(alpha), int64(qlen), finiteScore(m.bal.Score())))
 	}
 	return best, true
-}
-
-// scoreBeats reports whether a scalar score beats the incumbent's: a
-// larger score wins, an equal one only when winTies is set.
-func scoreBeats(score, best float64, winTies bool) bool {
-	return score > best || (score == best && winTies)
 }
 
 // finiteScore clamps a balance score into the finite range the event
@@ -360,52 +255,6 @@ func finiteScore(v float64) float64 {
 		return -math.MaxFloat64
 	}
 	return v
-}
-
-// sortBeats reports whether cand's balance vector, once sorted
-// ascending, lexicographically beats best (which is already sorted):
-// at the first differing position the larger value wins — exactly
-// metrics.LexLess(best, sorted(cand)). Equal vectors beat only when
-// winTies is set (cand is the earlier-ready candidate). It
-// selection-sorts cand in place one position at a time and exits as
-// soon as a position decides the comparison, so a candidate losing on
-// the smallest x-utilization — the common case — costs one min-scan
-// instead of a full K-sort. When it returns true, cand is fully sorted
-// and ready to adopt as the new incumbent; when false, cand's tail past
-// the deciding position is unspecified (losing vectors are discarded).
-func sortBeats(cand, best []float64, winTies bool) bool {
-	for i := range cand {
-		min := i
-		for j := i + 1; j < len(cand); j++ {
-			if cand[j] < cand[min] {
-				min = j
-			}
-		}
-		cand[i], cand[min] = cand[min], cand[i]
-		if cand[i] != best[i] {
-			if cand[i] < best[i] {
-				return false
-			}
-			selectionSort(cand[i+1:])
-			return true
-		}
-	}
-	return winTies
-}
-
-// selectionSort sorts ascending in place. The balance vectors have
-// K ≤ 6 entries in every paper workload, where this beats the stdlib
-// sort's dispatch overhead on the engine's hottest loop.
-func selectionSort(v []float64) {
-	for i := range v {
-		min := i
-		for j := i + 1; j < len(v); j++ {
-			if v[j] < v[min] {
-				min = j
-			}
-		}
-		v[i], v[min] = v[min], v[i]
-	}
 }
 
 // classQueue is MQB's view of the ready queues, bucketed by descendant

@@ -25,7 +25,7 @@ type RunConfig struct {
 	// must match the trace's K. In HTTP mode it must mirror the
 	// served machine (it seeds the report identity and the audit).
 	Procs []int
-	// Scheduler names the registered picker; empty selects MQB. In
+	// Scheduler names the registered scheduler; empty selects MQB. In
 	// HTTP mode it must mirror the served scheduler.
 	Scheduler string
 	// DefaultQuota, Quotas, NoFairShare and MaxBacklogTasks mirror
@@ -239,14 +239,14 @@ func driveHTTP(cfg RunConfig, ops []service.Op) (*outcome, error) {
 		return nil, err
 	}
 
-	// Resolve the canonical scheduler name through the same registry
+	// Resolve the canonical scheduler name through the same resolver
 	// the server used, so an in-process and an HTTP report of the same
 	// workload can never disagree on casing.
-	picker, err := service.NewPicker(cfg.Scheduler)
+	sched, err := service.SchedulerName(cfg.Scheduler)
 	if err != nil {
 		return nil, err
 	}
-	o := &outcome{scheduler: picker.Name()}
+	o := &outcome{scheduler: sched}
 	lastT := int64(-1)
 	for i := range ops {
 		op := &ops[i]

@@ -3,7 +3,9 @@ package service
 import (
 	"fmt"
 	"sort"
+	"strings"
 
+	"fhs/internal/core"
 	"fhs/internal/dag"
 	"fhs/internal/fault"
 	"fhs/internal/obs"
@@ -142,17 +144,17 @@ func newCoreMetrics(reg *obs.Registry) coreMetrics {
 // layer serializes). Time advances only through AdvanceTo/Drain;
 // arrivals and cancels take effect at the current clock.
 type Core struct {
-	cfg    Config
-	picker Picker
-	k      int
-	now    int64
+	cfg   Config
+	sched string         // canonical scheduler name
+	bal   *core.Balancer // MQB's scorer; nil under KGreedy
+	k     int
+	now   int64
 
 	busy   []int // placements per pool
 	cap    []int // live capacity per pool (the fault timeline's Pα(t))
 	queues [][]entry
 	qwork  []int64
 	run    sim.Heap[runTask]
-	view   View
 
 	jobs        map[string]*job
 	order       []*job
@@ -164,8 +166,7 @@ type Core struct {
 	wasted    int64
 	mets      coreMetrics
 
-	cands    []Cand // pick scratch
-	candIdxs []int
+	cands []int // pick scratch: candidate queue positions
 }
 
 // New builds a core over the configured machine.
@@ -173,14 +174,14 @@ func New(cfg Config) (*Core, error) {
 	if err := cfg.validate(); err != nil {
 		return nil, err
 	}
-	p, err := NewPicker(cfg.Scheduler)
+	sched, err := SchedulerName(cfg.Scheduler)
 	if err != nil {
 		return nil, err
 	}
 	k := len(cfg.Procs)
 	c := &Core{
 		cfg:     cfg,
-		picker:  p,
+		sched:   sched,
 		k:       k,
 		busy:    make([]int, k),
 		cap:     append([]int(nil), cfg.Procs...),
@@ -190,10 +191,25 @@ func New(cfg Config) (*Core, error) {
 		tenants: make(map[string]*tenant),
 		mets:    newCoreMetrics(cfg.Metrics),
 	}
-	// Pickers score against the nominal pool sizes even under churn;
-	// only placement honors the live capacity.
-	c.view = View{QueueWork: c.qwork, Procs: cfg.Procs}
+	if sched == "MQB" {
+		c.bal = &core.Balancer{}
+	}
 	return c, nil
+}
+
+// SchedulerName resolves a registered scheduler name
+// (case-insensitive) to its canonical form. The empty name selects
+// MQB, the paper's utilization-balancing rule; KGreedy is the online
+// FIFO baseline.
+func SchedulerName(name string) (string, error) {
+	switch strings.ToLower(name) {
+	case "", "mqb":
+		return "MQB", nil
+	case "kgreedy":
+		return "KGreedy", nil
+	default:
+		return "", fmt.Errorf("service: unknown scheduler %q (want MQB or KGreedy)", name)
+	}
 }
 
 // Now returns the simulation clock.
@@ -208,8 +224,8 @@ func (c *Core) timeline() *fault.Timeline {
 	return c.cfg.Faults.Timeline
 }
 
-// Scheduler returns the active picker's name.
-func (c *Core) Scheduler() string { return c.picker.Name() }
+// Scheduler returns the active scheduler's canonical name.
+func (c *Core) Scheduler() string { return c.sched }
 
 // tenantFor returns the named tenant record, creating it (and its
 // metric handles) on first touch.
@@ -637,25 +653,25 @@ func (c *Core) enqueue(j *job, task dag.TaskID) {
 
 // assign fills idle processors pool by pool. Each placement re-derives
 // the candidate set (priority class, then fair share, then the
-// picker), because a placement moves both the live queue work MQB
+// scheduler), because a placement moves both the live queue work MQB
 // scores against and the winning tenant's virtual service.
 func (c *Core) assign() {
 	for a := 0; a < c.k; a++ {
 		alpha := dag.Type(a)
 		for c.busy[a] < c.cap[a] && len(c.queues[a]) > 0 {
-			cands, idxs := c.candidates(alpha)
-			i, score := c.picker.Pick(&c.view, alpha, cands)
-			c.place(alpha, idxs[i], len(cands), score)
+			cands := c.candidates(alpha)
+			qi, score := c.pick(alpha, cands)
+			c.place(alpha, qi, len(cands), score)
 		}
 	}
 }
 
-// candidates filters pool alpha's queue to the picker-visible set:
+// candidates filters pool alpha's queue to the scheduler-visible set:
 // the maximum priority class first, then — unless fair share is off —
 // the tenant with minimal virtual service within that class (ties to
-// the lexicographically smallest name). Returns the candidates in
-// queue order plus their queue positions.
-func (c *Core) candidates(alpha dag.Type) ([]Cand, []int) {
+// the lexicographically smallest name). Returns the candidates' queue
+// positions in queue order.
+func (c *Core) candidates(alpha dag.Type) []int {
 	q := c.queues[alpha]
 	maxPrio := q[0].j.priority
 	for _, e := range q[1:] {
@@ -677,20 +693,40 @@ func (c *Core) candidates(alpha dag.Type) ([]Cand, []int) {
 		}
 	}
 	c.cands = c.cands[:0]
-	c.candIdxs = c.candIdxs[:0]
 	for qi, e := range q {
 		if e.j.priority != maxPrio || (fair != nil && e.j.tenant != fair) {
 			continue
 		}
-		c.cands = append(c.cands, Cand{
-			JobIdx: e.j.idx,
-			Task:   e.task,
-			Work:   e.j.graph.Task(e.task).Work,
-			Desc:   e.j.desc[e.task],
-		})
-		c.candIdxs = append(c.candIdxs, qi)
+		c.cands = append(c.cands, qi)
 	}
-	return c.cands, c.candIdxs
+	return c.cands
+}
+
+// pick chooses among pool alpha's candidates (queue positions, in
+// queue order) and returns the winner's queue position with its score
+// for the decision trace. KGreedy takes the oldest candidate. MQB
+// offers each candidate's typed descendant row to the balance kernel
+// and keeps the best snapshot, ties to the earlier queue position. It
+// scores against the nominal pool sizes even under churn; only
+// placement honors the live capacity.
+func (c *Core) pick(alpha dag.Type, cands []int) (int, float64) {
+	if c.bal == nil || len(cands) == 1 {
+		return cands[0], 0
+	}
+	base, procs := c.bal.Reset(c.k)
+	for a := range base {
+		base[a] = float64(c.qwork[a])
+		procs[a] = float64(c.cfg.Procs[a])
+	}
+	q := c.queues[alpha]
+	best := cands[0]
+	for _, qi := range cands {
+		e := q[qi]
+		if c.bal.Offer(alpha, e.j.desc[e.task], float64(e.j.graph.Task(e.task).Work), false) {
+			best = qi
+		}
+	}
+	return best, c.bal.Score()
 }
 
 // place starts queue entry qi of pool alpha on a processor.

@@ -69,7 +69,7 @@ type Config struct {
 	// Procs is the machine: Procs[α] processors of type α. Required,
 	// every entry positive.
 	Procs []int
-	// Scheduler names the registered picker ("MQB" or "KGreedy");
+	// Scheduler names the registered scheduler ("MQB" or "KGreedy");
 	// empty selects MQB.
 	Scheduler string
 	// DefaultQuota caps concurrently admitted (not yet done or
@@ -77,9 +77,9 @@ type Config struct {
 	DefaultQuota int
 	// Quotas overrides DefaultQuota per tenant name.
 	Quotas map[string]int
-	// NoFairShare disables the deterministic fair-share stage: pickers
-	// then choose over all max-priority candidates regardless of
-	// tenant. Fair share is on by default.
+	// NoFairShare disables the deterministic fair-share stage: the
+	// scheduler then chooses over all max-priority candidates
+	// regardless of tenant. Fair share is on by default.
 	NoFairShare bool
 	// Obs receives the event stream (releases, cancels, task
 	// lifecycle, queue-depth and x-utilization samples, decisions).
