@@ -33,6 +33,13 @@ type ShiftBT struct {
 	due  []int64
 	q    keyedQueue
 	edd  eddSched // relaxation policy, reused across relaxations
+
+	// run simulates the relaxations. It cannot be the caller's Runner:
+	// Prepare runs inside the caller's Run.
+	run sim.Runner
+	// order is the latest relaxation's candidate start order and best
+	// the round's best so far; the two swap instead of reallocating.
+	order, best []dag.TaskID
 }
 
 // NewShiftBT returns the shifting-bottleneck scheduler.
@@ -76,7 +83,6 @@ func (s *ShiftBT) Prepare(g *dag.Graph, cfg sim.Config) error {
 	for nUnfixed > 0 {
 		bestType := -1
 		var bestLateness int64
-		var bestOrder []dag.TaskID
 		for a := 0; a < k; a++ {
 			if !unfixed[a] {
 				continue
@@ -88,23 +94,21 @@ func (s *ShiftBT) Prepare(g *dag.Graph, cfg sim.Config) error {
 					procs[b] = max(typeCount[b], 1)
 				}
 			}
-			order, lateness, err := s.relax(g, procs, dag.Type(a))
+			lateness, err := s.relax(g, procs, dag.Type(a))
 			if err != nil {
 				return fmt.Errorf("core: ShiftBT relaxation for type %d: %w", a, err)
 			}
 			if bestType < 0 || lateness > bestLateness {
-				bestType, bestLateness, bestOrder = a, lateness, order
+				bestType, bestLateness = a, lateness
+				s.order, s.best = s.best, s.order
 			}
 		}
-		ranks := make([]int64, n)
-		for i := range ranks {
-			ranks[i] = math.MaxInt64
-		}
-		for pos, id := range bestOrder {
-			ranks[id] = int64(pos)
+		for pos, id := range s.best {
 			s.rank[id] = int64(pos)
 		}
-		fixedRank[bestType] = ranks
+		// A relaxation reads a fixed type's ranks for that type's tasks
+		// only, so every fixed type can share s.rank.
+		fixedRank[bestType] = s.rank
 		unfixed[bestType] = false
 		nUnfixed--
 	}
@@ -114,12 +118,12 @@ func (s *ShiftBT) Prepare(g *dag.Graph, cfg sim.Config) error {
 // relax computes the EDD relaxation for candidate type on procs: the
 // candidate and already-fixed types keep their configured pool sizes;
 // every other unfixed type gets one processor per task (effectively
-// unlimited). It returns the candidate's task start order and its
-// maximum lateness max(start − due).
-func (s *ShiftBT) relax(g *dag.Graph, procs []int, candidate dag.Type) ([]dag.TaskID, int64, error) {
+// unlimited). It leaves the candidate's task start order in s.order
+// and returns its maximum lateness max(start − due).
+func (s *ShiftBT) relax(g *dag.Graph, procs []int, candidate dag.Type) (int64, error) {
 	s.edd.candidate, s.edd.starts = candidate, s.edd.starts[:0]
-	if _, err := sim.Run(g, &s.edd, sim.Config{Procs: procs}); err != nil {
-		return nil, 0, err
+	if _, err := s.run.Run(g, &s.edd, sim.Config{Procs: procs}); err != nil {
+		return 0, err
 	}
 	starts := s.edd.starts
 	lateness := int64(math.MinInt64)
@@ -128,17 +132,21 @@ func (s *ShiftBT) relax(g *dag.Graph, procs []int, candidate dag.Type) ([]dag.Ta
 			lateness = l
 		}
 	}
-	slices.SortFunc(starts, func(a, b taskStart) int {
-		if a.t != b.t {
-			return cmp.Compare(a.t, b.t)
+	// Starts are recorded at non-decreasing times, so the (time, ID)
+	// order only needs each same-instant run sorted by ID.
+	s.order = s.order[:0]
+	for i := 0; i < len(starts); {
+		j := i + 1
+		for j < len(starts) && starts[j].t == starts[i].t {
+			j++
 		}
-		return cmp.Compare(a.id, b.id)
-	})
-	order := make([]dag.TaskID, len(starts))
-	for i, ts := range starts {
-		order[i] = ts.id
+		slices.SortFunc(starts[i:j], func(a, b taskStart) int { return cmp.Compare(a.id, b.id) })
+		for _, ts := range starts[i:j] {
+			s.order = append(s.order, ts.id)
+		}
+		i = j
 	}
-	return order, lateness, nil
+	return lateness, nil
 }
 
 // Pick implements sim.Scheduler: dispatch in frozen bottleneck order,

@@ -81,6 +81,7 @@ func TraceInstance(spec Spec, i int, tr *obs.Tracer) (*dag.Graph, []int, []Trace
 	}
 
 	runs := make([]TracedRun, 0, len(spec.Schedulers))
+	var run sim.Runner
 	for s, name := range spec.Schedulers {
 		sch, err := newScheduler(name, core.Params{Seed: seed ^ int64(s+1)<<32})
 		if err != nil {
@@ -98,7 +99,7 @@ func TraceInstance(spec Spec, i int, tr *obs.Tracer) (*dag.Graph, []int, []Trace
 		}
 		tr.BeginScope(name)
 		lo := tr.Len()
-		res, err := sim.Run(g, sch, cfg)
+		res, err := run.Run(g, sch, cfg)
 		if err != nil {
 			return nil, nil, nil, fmt.Errorf("exp: %s: instance %d (seed %d) %s: %w", spec.Name, i, seed, name, err)
 		}

@@ -253,8 +253,9 @@ func Run(spec Spec) (Table, error) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
+			var run sim.Runner // this worker's run state, reused per instance
 			for i := range jobs {
-				if ierr := runInstance(&spec, i, observations[i*nSched:(i+1)*nSched]); ierr != nil {
+				if ierr := runInstance(&spec, i, observations[i*nSched:(i+1)*nSched], &run); ierr != nil {
 					mu.Lock()
 					failed = append(failed, *ierr)
 					mu.Unlock()
@@ -361,8 +362,9 @@ func deriveMaxTime(g *dag.Graph, procs []int, plan *fault.Plan) int64 {
 // runInstance draws instance i's job, machine and fault plan and fills
 // out[s] with each scheduler's observations. Any failure — including a
 // panicking scheduler — is returned as a structured InstanceError and
-// the instance is dropped whole, keeping rows paired.
-func runInstance(spec *Spec, i int, out []measurement) (ierr *InstanceError) {
+// the instance is dropped whole, keeping rows paired. Every
+// simulation runs on run.
+func runInstance(spec *Spec, i int, out []measurement, run *sim.Runner) (ierr *InstanceError) {
 	seed := instSeed(spec.Seed, i)
 	current := "" // scheduler on deck, for panic attribution
 	defer func() {
@@ -408,7 +410,7 @@ func runInstance(spec *Spec, i int, out []measurement) (ierr *InstanceError) {
 		if err != nil {
 			return fail(err)
 		}
-		res, err := sim.Run(g, sch, cfg)
+		res, err := run.Run(g, sch, cfg)
 		if err != nil {
 			return fail(err)
 		}

@@ -6,6 +6,8 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
+	"strconv"
 )
 
 // wireEvent is the JSONL schema: one object per line. Absent optional
@@ -27,26 +29,68 @@ type wireEvent struct {
 // EncodeJSONL renders one event as its canonical JSONL line (no
 // trailing newline). The event must be valid.
 func EncodeJSONL(e Event) ([]byte, error) {
+	return appendJSONL(nil, e)
+}
+
+// appendJSONL appends e's canonical line to dst: the bytes
+// json.Marshal gives for its wireEvent, written field by field without
+// reflection.
+func appendJSONL(dst []byte, e Event) ([]byte, error) {
 	if err := e.Validate(); err != nil {
 		return nil, err
 	}
-	w := wireEvent{T: e.Time, Kind: e.Kind.String(), Label: e.Label}
+	dst = append(dst, `{"t":`...)
+	dst = strconv.AppendInt(dst, e.Time, 10)
+	// Kind names are plain ASCII words that need no escaping.
+	dst = append(dst, `,"kind":"`...)
+	dst = append(dst, e.Kind.String()...)
+	dst = append(dst, '"')
 	if e.Task >= 0 {
-		w.Task = &e.Task
+		dst = strconv.AppendInt(append(dst, `,"task":`...), e.Task, 10)
 	}
 	if e.Job >= 0 {
-		w.Job = &e.Job
+		dst = strconv.AppendInt(append(dst, `,"job":`...), e.Job, 10)
 	}
 	if e.Type >= 0 {
-		w.Type = &e.Type
+		dst = strconv.AppendInt(append(dst, `,"type":`...), e.Type, 10)
 	}
 	if e.Arg != 0 {
-		w.Arg = &e.Arg
+		dst = strconv.AppendInt(append(dst, `,"arg":`...), e.Arg, 10)
 	}
 	if e.Val != 0 {
-		w.Val = &e.Val
+		dst = appendJSONFloat(append(dst, `,"val":`...), e.Val)
 	}
-	return json.Marshal(w)
+	if e.Label != "" {
+		// Labels are rare (scope events only): let encoding/json
+		// escape them, so HTML characters, invalid UTF-8 and U+2028
+		// come out exactly as Marshal writes them.
+		q, err := json.Marshal(e.Label)
+		if err != nil {
+			return nil, err
+		}
+		dst = append(append(dst, `,"label":`...), q...)
+	}
+	return append(dst, '}'), nil
+}
+
+// appendJSONFloat formats a finite float64 as encoding/json does: 'f'
+// notation, or 'e' for magnitudes below 1e-6 or from 1e21 on, with a
+// two-digit negative exponent shortened (e-07 → e-7).
+func appendJSONFloat(dst []byte, f float64) []byte {
+	abs := math.Abs(f)
+	format := byte('f')
+	if abs != 0 && (abs < 1e-6 || abs >= 1e21) {
+		format = 'e'
+	}
+	dst = strconv.AppendFloat(dst, f, format, -1, 64)
+	if format == 'e' {
+		n := len(dst)
+		if n >= 4 && dst[n-4] == 'e' && dst[n-3] == '-' && dst[n-2] == '0' {
+			dst[n-2] = dst[n-1]
+			dst = dst[:n-1]
+		}
+	}
+	return dst
 }
 
 // DecodeJSONL parses one JSONL line back into an Event, rejecting
@@ -111,9 +155,10 @@ func WriteJSONL(w io.Writer, events []Event) error {
 	if err := ValidateTrace(events); err != nil {
 		return fmt.Errorf("obs: %w", err)
 	}
+	var line []byte
 	for i, e := range events {
-		line, err := EncodeJSONL(e)
-		if err != nil {
+		var err error
+		if line, err = appendJSONL(line[:0], e); err != nil {
 			return fmt.Errorf("obs: event %d: %w", i, err)
 		}
 		if _, err := w.Write(append(line, '\n')); err != nil {

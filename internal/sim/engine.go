@@ -2,6 +2,7 @@ package sim
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"fhs/internal/dag"
@@ -13,8 +14,40 @@ import (
 // and returns the completion time and utilization statistics. The
 // scheduler's Prepare is invoked first, so a fresh or reusable
 // scheduler value may be passed; schedulers themselves are not used
-// concurrently by the engine.
+// concurrently by the engine. Run is the one-shot form of Runner.Run.
 func Run(g *dag.Graph, s Scheduler, cfg Config) (Result, error) {
+	return new(Runner).Run(g, s, cfg)
+}
+
+// Runner runs simulations one after another and reuses its run state
+// between them: the State's per-task slices, the ready-queue and
+// enqueue-log buffers, the run queue and the preemptive engine's
+// scratch slices. Results never share storage with the Runner or with
+// each other. The zero value is ready to use.
+//
+// A Runner is not safe for concurrent use, and it is not reentrant: a
+// scheduler whose Prepare simulates (ShiftBT's relaxations) needs a
+// Runner of its own, since Prepare runs inside the caller's Run.
+type Runner struct {
+	cfg     Config
+	st      State
+	active  bool
+	running runQueue
+	runBusy []int
+
+	assigned []dag.TaskID
+	still    [][]dag.TaskID
+}
+
+// Run simulates g under s on cfg, as the package-level Run does, on
+// the Runner's reused state. It errors if the Runner is already
+// running.
+func (r *Runner) Run(g *dag.Graph, s Scheduler, cfg Config) (Result, error) {
+	if r.active {
+		return Result{}, fmt.Errorf("sim: Runner.Run called while the Runner is running")
+	}
+	r.active = true
+	defer func() { r.active = false }()
 	if err := cfg.Validate(g.K()); err != nil {
 		return Result{}, err
 	}
@@ -28,14 +61,15 @@ func Run(g *dag.Graph, s Scheduler, cfg Config) (Result, error) {
 	if err := s.Prepare(g, cfg); err != nil {
 		return Result{}, fmt.Errorf("sim: scheduler %s prepare: %w", s.Name(), err)
 	}
+	r.cfg = cfg
 	var (
 		res Result
 		err error
 	)
 	if cfg.Preemptive {
-		res, err = runPreemptive(g, s, &cfg)
+		res, err = r.runPreemptive(g, s)
 	} else {
-		res, err = runNonPreemptive(g, s, &cfg)
+		res, err = r.runNonPreemptive(g, s)
 	}
 	if err != nil || !cfg.Paranoid {
 		return res, err
@@ -58,27 +92,10 @@ func timeline(cfg *Config) *fault.Timeline {
 	return cfg.Faults.Timeline
 }
 
-// runningTask is a heap entry for the non-preemptive engine: a
-// min-heap on finish time, breaking ties on task ID for determinism
-// (see Heap in runheap.go — the generic extraction of the concrete
-// heap this engine originally carried).
-type runningTask struct {
-	finish int64
-	start  int64
-	id     dag.TaskID
-}
-
-// Less orders the run heap: earliest finish first, ties to the lowest
-// task ID.
-func (rt runningTask) Less(o runningTask) bool {
-	if rt.finish != o.finish {
-		return rt.finish < o.finish
-	}
-	return rt.id < o.id
-}
-
-func runNonPreemptive(g *dag.Graph, s Scheduler, cfg *Config) (Result, error) {
-	st := newState(g, cfg)
+func (r *Runner) runNonPreemptive(g *dag.Graph, s Scheduler) (Result, error) {
+	cfg := &r.cfg
+	st := &r.st
+	st.reset(g, cfg)
 	res := Result{BusyTime: make([]int64, g.K()), WastedWork: make([]int64, g.K())}
 	tl := timeline(cfg)
 	tr := cfg.Obs
@@ -87,8 +104,11 @@ func runNonPreemptive(g *dag.Graph, s Scheduler, cfg *Config) (Result, error) {
 	// cap[α]-runBusy[α]. Tracking the busy side (rather than the idle
 	// side, as the fault-free engine did) survives capacity changes
 	// under a running load.
-	runBusy := make([]int, g.K())
-	var running Heap[runningTask]
+	runBusy := slices.Grow(r.runBusy[:0], g.K())[:g.K()]
+	clear(runBusy)
+	r.runBusy = runBusy
+	running := &r.running
+	running.reset()
 
 	n := g.NumTasks()
 	for st.nCompleted < n {
@@ -109,7 +129,7 @@ func runNonPreemptive(g *dag.Graph, s Scheduler, cfg *Config) (Result, error) {
 				runBusy[a]++
 				res.Decisions++
 				mets.started.Inc()
-				running.Push(runningTask{finish: st.now + st.remaining[id], start: st.now, id: id})
+				running.push(runEntry{finish: st.now + st.remaining[id], start: st.now, id: id})
 				if cfg.CollectTrace {
 					res.Trace = append(res.Trace, Event{Time: st.now, Task: id, Type: alpha, Kind: EventStart})
 				}
@@ -126,8 +146,8 @@ func runNonPreemptive(g *dag.Graph, s Scheduler, cfg *Config) (Result, error) {
 		// running, a pending breakpoint still counts — crashed pools may
 		// recover and unblock the schedule.
 		next := int64(-1)
-		if len(running) > 0 {
-			next = running[0].finish
+		if t, ok := running.next(); ok {
+			next = t
 		}
 		nextChange := int64(-1)
 		if tl != nil {
@@ -152,38 +172,37 @@ func runNonPreemptive(g *dag.Graph, s Scheduler, cfg *Config) (Result, error) {
 		// A completion may fail transiently (the seeded coin), in which
 		// case the whole execution is wasted and the task re-enters its
 		// ready queue with full work.
-		for len(running) > 0 && running[0].finish == t {
-			rt := running.Pop()
-			alpha := g.Task(rt.id).Type
-			work := st.remaining[rt.id]
+		for _, id := range running.popDue(t) {
+			alpha := g.Task(id).Type
+			work := st.remaining[id]
 			res.BusyTime[alpha] += work
 			mets.busy.Add(work)
 			runBusy[alpha]--
-			if cfg.Faults.FailsCompletion(rt.id, st.attempts[rt.id]) {
+			if cfg.Faults.FailsCompletion(id, st.attempts[id]) {
 				res.WastedWork[alpha] += work
 				res.Failures++
 				mets.failures.Inc()
 				mets.wasted.Add(work)
-				if err := st.retry(rt.id); err != nil {
+				if err := st.retry(id); err != nil {
 					return res, err
 				}
 				if cfg.CollectTrace {
-					res.Trace = append(res.Trace, Event{Time: t, Task: rt.id, Type: alpha, Kind: EventFail})
+					res.Trace = append(res.Trace, Event{Time: t, Task: id, Type: alpha, Kind: EventFail})
 				}
 				if tr.Enabled() {
-					tr.Emit(obs.TaskEv(obs.KindFail, t, int64(rt.id), int64(alpha)))
+					tr.Emit(obs.TaskEv(obs.KindFail, t, int64(id), int64(alpha)))
 				}
 				continue
 			}
-			st.remaining[rt.id] = 0
-			st.complete(rt.id)
+			st.remaining[id] = 0
+			st.complete(id)
 			mets.completed.Inc()
 			mets.runWork.Observe(work)
 			if cfg.CollectTrace {
-				res.Trace = append(res.Trace, Event{Time: t, Task: rt.id, Type: alpha, Kind: EventFinish})
+				res.Trace = append(res.Trace, Event{Time: t, Task: id, Type: alpha, Kind: EventFinish})
 			}
 			if tr.Enabled() {
-				tr.Emit(obs.TaskEv(obs.KindFinish, t, int64(rt.id), int64(alpha)))
+				tr.Emit(obs.TaskEv(obs.KindFinish, t, int64(id), int64(alpha)))
 			}
 		}
 		// Capacity phase: apply breakpoints landing at this instant. A
@@ -199,17 +218,7 @@ func runNonPreemptive(g *dag.Graph, s Scheduler, cfg *Config) (Result, error) {
 					tr.Emit(obs.TypeEv(obs.KindCapacity, t, int64(a), int64(st.cap[a]), 0))
 				}
 				for runBusy[a] > st.cap[a] {
-					victim := -1
-					for i := range running {
-						if g.Task(running[i].id).Type != alpha {
-							continue
-						}
-						if victim < 0 || running[i].finish > running[victim].finish ||
-							(running[i].finish == running[victim].finish && running[i].id > running[victim].id) {
-							victim = i
-						}
-					}
-					rt := running.Remove(victim)
+					rt := running.removeVictim(g, alpha)
 					elapsed := t - rt.start
 					res.BusyTime[alpha] += elapsed
 					res.WastedWork[alpha] += elapsed
@@ -236,8 +245,10 @@ func runNonPreemptive(g *dag.Graph, s Scheduler, cfg *Config) (Result, error) {
 	return res, nil
 }
 
-func runPreemptive(g *dag.Graph, s Scheduler, cfg *Config) (Result, error) {
-	st := newState(g, cfg)
+func (r *Runner) runPreemptive(g *dag.Graph, s Scheduler) (Result, error) {
+	cfg := &r.cfg
+	st := &r.st
+	st.reset(g, cfg)
 	res := Result{BusyTime: make([]int64, g.K()), WastedWork: make([]int64, g.K())}
 	tl := timeline(cfg)
 	tr := cfg.Obs
@@ -247,8 +258,9 @@ func runPreemptive(g *dag.Graph, s Scheduler, cfg *Config) (Result, error) {
 		quantum = 1
 	}
 	n := g.NumTasks()
-	assigned := make([]dag.TaskID, 0, 64)
-	still := make([][]dag.TaskID, g.K())
+	assigned := r.assigned[:0]
+	still := slices.Grow(r.still[:0], g.K())[:g.K()]
+	defer func() { r.assigned, r.still = assigned, still }()
 	for st.nCompleted < n {
 		if cfg.MaxTime > 0 && st.now > cfg.MaxTime {
 			return res, fmt.Errorf("sim: clock %d exceeds MaxTime=%d under scheduler %s (%d/%d tasks complete)",

@@ -8,13 +8,14 @@ package sim
 type HeapElem[T any] interface{ Less(T) bool }
 
 // Heap is a concrete min-heap on a slice of self-ordering elements.
-// It replicates container/heap's sift algorithms on the concrete
-// element type: going through heap.Interface boxes every entry into an
-// interface value, which was one heap allocation per task start — the
-// dominant allocation churn of the non-preemptive engine's event
-// handling. Monomorphization keeps Push/Pop allocation-free, and the
-// swap-then-fix Remove keeps internal ordering bit-identical to
-// container/heap.Remove.
+// It backs the keyed ready queues of internal/core and the service's
+// run queue; the non-preemptive engine keeps its running tasks in a
+// runQueue instead (runqueue.go). Heap replicates container/heap's
+// sift algorithms on the concrete element type: going through
+// heap.Interface boxes every entry into an interface value, one
+// allocation per push. Monomorphization keeps Push/Pop
+// allocation-free, and the swap-then-fix Remove keeps internal
+// ordering bit-identical to container/heap.Remove.
 //
 // The zero value is an empty heap. h[0] is the minimum.
 type Heap[T HeapElem[T]] []T

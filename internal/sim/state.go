@@ -2,13 +2,16 @@ package sim
 
 import (
 	"fmt"
+	"slices"
 
 	"fhs/internal/dag"
 )
 
 // State is the scheduler-visible view of a running simulation. All
 // accessors are read-only; mutation happens inside the engine. A State
-// is owned by a single simulation and is not safe for concurrent use.
+// serves one run at a time and is not safe for concurrent use. A
+// Runner reuses it for its next run, so a scheduler must not keep the
+// State, or a slice it returned, once the run is over.
 type State struct {
 	g   *dag.Graph
 	cfg *Config
@@ -37,37 +40,43 @@ type State struct {
 	completed      []bool
 	nCompleted     int
 	seqCounter     int64
+
+	// qbuf and logBuf back the ready queues and the enqueue logs.
+	qbuf, logBuf []dag.TaskID
 }
 
-func newState(g *dag.Graph, cfg *Config) *State {
-	n := g.NumTasks()
-	st := &State{
-		g:              g,
-		cfg:            cfg,
-		queues:         make([]readyQueue, g.K()),
-		queueWork:      make([]int64, g.K()),
-		enqueued:       make([][]dag.TaskID, g.K()),
-		cap:            append([]int(nil), cfg.Procs...),
-		remaining:      make([]int64, n),
-		readySeq:       make([]int64, n),
-		attempts:       make([]int, n),
-		pendingParents: make([]int, n),
-		completed:      make([]bool, n),
-	}
+// reset readies st for a run of g on cfg, reusing its storage. Slices
+// that are overwritten in full below are not cleared first.
+func (st *State) reset(g *dag.Graph, cfg *Config) {
+	n, k := g.NumTasks(), g.K()
+	st.g, st.cfg, st.now = g, cfg, 0
+	st.nCompleted, st.seqCounter = 0, 0
+	st.queues = slices.Grow(st.queues[:0], k)[:k]
+	st.queueWork = slices.Grow(st.queueWork[:0], k)[:k]
+	clear(st.queueWork)
+	st.enqueued = slices.Grow(st.enqueued[:0], k)[:k]
+	st.cap = append(st.cap[:0], cfg.Procs...)
 	if cfg.Faults != nil && cfg.Faults.Timeline != nil {
 		for a := range st.cap {
 			st.cap[a] = cfg.Faults.Timeline.CapAt(dag.Type(a), 0)
 		}
 	}
+	st.remaining = slices.Grow(st.remaining[:0], n)[:n]
+	st.readySeq = slices.Grow(st.readySeq[:0], n)[:n]
+	st.attempts = slices.Grow(st.attempts[:0], n)[:n]
+	clear(st.attempts)
+	st.pendingParents = slices.Grow(st.pendingParents[:0], n)[:n]
+	st.completed = slices.Grow(st.completed[:0], n)[:n]
+	clear(st.completed)
 	// A type's queue never holds more than its task count, so twice
 	// that leaves room for the dead prefix and the queues never grow.
 	// The log fits one entry per task; only re-enqueues can outgrow it.
-	qbuf := make([]dag.TaskID, 2*n)
-	logBuf := make([]dag.TaskID, n)
+	st.qbuf = slices.Grow(st.qbuf[:0], 2*n)[:2*n]
+	st.logBuf = slices.Grow(st.logBuf[:0], n)[:n]
 	off := 0
 	for a, c := range g.TypeCount() {
-		st.queues[a].buf = qbuf[2*off : 2*off : 2*(off+c)]
-		st.enqueued[a] = logBuf[off:off:(off + c)]
+		st.queues[a] = readyQueue{buf: st.qbuf[2*off : 2*off : 2*(off+c)]}
+		st.enqueued[a] = st.logBuf[off:off:(off + c)]
 		off += c
 	}
 	for i := 0; i < n; i++ {
@@ -79,7 +88,6 @@ func newState(g *dag.Graph, cfg *Config) *State {
 	for _, r := range g.Roots() {
 		st.enqueue(r)
 	}
-	return st
 }
 
 // Graph returns the job being executed. Online schedulers must not

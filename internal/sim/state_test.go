@@ -10,6 +10,14 @@ import (
 	"fhs/internal/fault"
 )
 
+// newState returns a fresh State for one run of g on cfg, as a Runner
+// sets it up.
+func newState(g *dag.Graph, cfg *Config) *State {
+	st := new(State)
+	st.reset(g, cfg)
+	return st
+}
+
 // mustBeInSeqOrder panics unless alpha's ready queue is in strictly
 // increasing ReadySeq order. The test schedulers call it on every
 // Pick, so every engine test checks the order keyed policies rely on.
