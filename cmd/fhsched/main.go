@@ -123,6 +123,7 @@ func main() {
 	}
 	tw := tabwriter.NewWriter(os.Stdout, 2, 4, 2, ' ', 0)
 	fmt.Fprintln(tw, "scheduler\tcompletion\tratio\tutilization")
+	var runner sim.Runner
 	for _, name := range names {
 		s, err := core.New(name, core.Params{Seed: *seed})
 		if err != nil {
@@ -136,7 +137,7 @@ func main() {
 		}
 		tracer.BeginScope(name)
 		lo := tracer.Len()
-		res, err := sim.Run(g, s, cfg)
+		res, err := runner.Run(g, s, cfg)
 		if err != nil {
 			log.Fatal(err)
 		}

@@ -58,7 +58,8 @@ func benchGraph(sc Scale, class workload.Class) (*dag.Graph, []int, error) {
 
 // engineBench measures one full simulation per op: a fixed graph under
 // a fixed machine, non-preemptive or preemptive, optionally with the
-// Paranoid auditor inline (sim/* entries watch its overhead).
+// Paranoid auditor inline (sim/* entries watch its overhead). One
+// Runner serves every op, as in the experiment harness.
 func engineBench(scheduler string, class workload.Class, preemptive, paranoid bool) func(Scale) (func() (Fingerprint, error), error) {
 	return func(sc Scale) (func() (Fingerprint, error), error) {
 		g, procs, err := benchGraph(sc, class)
@@ -70,8 +71,9 @@ func engineBench(scheduler string, class workload.Class, preemptive, paranoid bo
 			return nil, err
 		}
 		cfg := sim.Config{Procs: procs, Preemptive: preemptive, Paranoid: paranoid}
+		var r sim.Runner
 		return func() (Fingerprint, error) {
-			res, err := sim.Run(g, s, cfg)
+			res, err := r.Run(g, s, cfg)
 			if err != nil {
 				return Fingerprint{}, err
 			}
@@ -95,8 +97,9 @@ func mqbPickBench(sc Scale) (func() (Fingerprint, error), error) {
 	}
 	s := core.NewMQB(core.MQBOptions{})
 	cfg := sim.Config{Procs: []int{2, 2, 2, 2}}
+	var r sim.Runner
 	return func() (Fingerprint, error) {
-		res, err := sim.Run(g, s, cfg)
+		res, err := r.Run(g, s, cfg)
 		if err != nil {
 			return Fingerprint{}, err
 		}

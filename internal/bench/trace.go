@@ -20,6 +20,7 @@ func TraceRun(sc Scale) ([]obs.Event, []obs.MetricSnapshot, error) {
 	}
 	tr := obs.NewTracer()
 	reg := obs.NewRegistry()
+	var r sim.Runner
 	for _, name := range []string{"KGreedy", "MQB"} {
 		s, err := core.New(name, core.Params{Seed: sc.Seed})
 		if err != nil {
@@ -27,7 +28,7 @@ func TraceRun(sc Scale) ([]obs.Event, []obs.MetricSnapshot, error) {
 		}
 		cfg := sim.Config{Procs: procs, Obs: tr, Metrics: reg}
 		tr.BeginScope(name)
-		if _, err := sim.Run(g, s, cfg); err != nil {
+		if _, err := r.Run(g, s, cfg); err != nil {
 			return nil, nil, err
 		}
 		tr.EndScope(name)

@@ -12,8 +12,8 @@ import (
 // interleaving without measuring how much foreign work is unlocked.
 // Tasks with no different-type descendant sort last.
 type DType struct {
-	dist []int32
-	q    keyedQueue
+	dist ranking[int32] // per-type distance ranks, shortest first
+	q    rankQueue
 }
 
 // NewDType returns the different-type-first scheduler.
@@ -25,12 +25,13 @@ func (*DType) Name() string { return "DType" }
 // Prepare implements sim.Scheduler. The distances come from the
 // graph's shared memo (computed once per graph, read-only here).
 func (d *DType) Prepare(g *dag.Graph, _ sim.Config) error {
-	d.dist = g.SharedDifferentTypeDistances()
-	d.q.reset(g.K())
+	dist := g.SharedDifferentTypeDistances()
+	d.dist.compute(g, false, func(id dag.TaskID) int32 { return dist[id] })
+	d.q.reset(g, 1)
 	return nil
 }
 
 // Pick implements sim.Scheduler.
 func (d *DType) Pick(st *sim.State, alpha dag.Type) (dag.TaskID, bool) {
-	return d.q.pick(st, alpha, func(id dag.TaskID) float64 { return float64(d.dist[id]) })
+	return d.q.pick(st, alpha, func(id dag.TaskID) (int32, int64) { return d.dist.rank[id], 0 })
 }

@@ -2,9 +2,9 @@ package core
 
 import (
 	"fmt"
-	"math"
 	"math/rand"
 	"slices"
+	"strings"
 	"testing"
 
 	"fhs/internal/dag"
@@ -18,8 +18,8 @@ import (
 // comparison is strict. ok is false on an empty queue.
 //
 // pickMax and pickMin are the linear scans the static-priority
-// schedulers picked with before keyedQueue. They are kept here as the
-// reference the heap-backed picks must agree with.
+// schedulers picked with before rankQueue. They are kept here as the
+// reference the rank-queue picks must agree with.
 func pickMax(st *sim.State, alpha dag.Type, score func(dag.TaskID) float64) (dag.TaskID, bool) {
 	q := st.Ready(alpha)
 	if len(q) == 0 {
@@ -40,25 +40,24 @@ func pickMin(st *sim.State, alpha dag.Type, score func(dag.TaskID) float64) (dag
 	return pickMax(st, alpha, func(id dag.TaskID) float64 { return -score(id) })
 }
 
-// scanPick is the linear-scan formulation of a keyed scheduler's Pick,
-// reading the data the scheduler computed in Prepare.
+// scanPick is the linear-scan formulation of a keyed scheduler's Pick.
+// It reads the raw keys from the graph, not the ranks the scheduler
+// computed from them, except for ShiftBT's frozen start order.
 func scanPick(s sim.Scheduler, st *sim.State, alpha dag.Type) (dag.TaskID, bool) {
+	g := st.Graph()
 	switch s := s.(type) {
 	case *LSpan:
 		return pickMax(st, alpha, func(id dag.TaskID) float64 {
-			return float64(s.spans[id] - st.Executed(id))
+			return float64(g.TaskSpan(id) - st.Executed(id))
 		})
 	case *DType:
-		return pickMin(st, alpha, func(id dag.TaskID) float64 { return float64(s.dist[id]) })
+		dist := g.SharedDifferentTypeDistances()
+		return pickMin(st, alpha, func(id dag.TaskID) float64 { return float64(dist[id]) })
 	case *MaxDP:
-		return pickMax(st, alpha, func(id dag.TaskID) float64 { return s.desc[id] })
+		desc := g.SharedDescendantValues()
+		return pickMax(st, alpha, func(id dag.TaskID) float64 { return desc[id] })
 	case *ShiftBT:
-		return pickMin(st, alpha, func(id dag.TaskID) float64 {
-			if s.rank[id] != math.MaxInt64 {
-				return float64(s.rank[id])
-			}
-			return float64(math.MaxInt32) + float64(s.due[id])
-		})
+		return pickMin(st, alpha, func(id dag.TaskID) float64 { return float64(s.rank[id]) })
 	case *eddSched:
 		if s.unlimited[alpha] {
 			q := st.Ready(alpha)
@@ -67,10 +66,12 @@ func scanPick(s sim.Scheduler, st *sim.State, alpha dag.Type) (dag.TaskID, bool)
 			}
 			return q[0], true
 		}
-		if ranks := s.fixedRank[alpha]; ranks != nil {
-			return pickMin(st, alpha, func(id dag.TaskID) float64 { return float64(ranks[id]) })
+		if s.fixed[alpha] {
+			return pickMin(st, alpha, func(id dag.TaskID) float64 { return float64(s.rank[id]) })
 		}
-		return pickMin(st, alpha, func(id dag.TaskID) float64 { return float64(s.due[id]) })
+		return pickMin(st, alpha, func(id dag.TaskID) float64 { return float64(g.Span() - g.TaskSpan(id)) })
+	case *rankFuzzSched:
+		return pickMin(st, alpha, func(id dag.TaskID) float64 { return float64(s.key(st, id)) })
 	}
 	panic(fmt.Sprintf("no scan reference for %T", s))
 }
@@ -93,7 +94,7 @@ func (c *pickChecker) Pick(st *sim.State, alpha dag.Type) (dag.TaskID, bool) {
 	wantID, wantOK := scanPick(c.Scheduler, st, alpha)
 	id, ok := c.Scheduler.Pick(st, alpha)
 	if id != wantID || ok != wantOK {
-		c.t.Fatalf("%s: pick %d on pool %d at t=%d: heap (%d, %v), scan (%d, %v)",
+		c.t.Fatalf("%s: pick %d on pool %d at t=%d: rank queue (%d, %v), scan (%d, %v)",
 			c.Name(), c.picks, alpha, st.Now(), id, ok, wantID, wantOK)
 	}
 	c.picks++
@@ -166,7 +167,7 @@ func runKeyedPair(t *testing.T, label string, g *dag.Graph, cfg sim.Config, s, s
 	got, errGot := sim.Run(g, checked, cfg)
 	want, errWant := sim.Run(g, scanSched{scan}, cfg)
 	if (errGot == nil) != (errWant == nil) {
-		t.Fatalf("%s: error divergence: heap %v, scan %v", label, errGot, errWant)
+		t.Fatalf("%s: error divergence: rank queue %v, scan %v", label, errGot, errWant)
 	}
 	if errGot != nil {
 		t.Logf("%s: both failed: %v", label, errGot)
@@ -174,7 +175,7 @@ func runKeyedPair(t *testing.T, label string, g *dag.Graph, cfg sim.Config, s, s
 	}
 	if got.CompletionTime != want.CompletionTime || got.Decisions != want.Decisions ||
 		got.Kills != want.Kills || got.Failures != want.Failures {
-		t.Fatalf("%s: heap (T=%d, %d decisions, %d kills, %d failures) != scan (T=%d, %d, %d, %d)", label,
+		t.Fatalf("%s: rank queue (T=%d, %d decisions, %d kills, %d failures) != scan (T=%d, %d, %d, %d)", label,
 			got.CompletionTime, got.Decisions, got.Kills, got.Failures,
 			want.CompletionTime, want.Decisions, want.Kills, want.Failures)
 	}
@@ -192,7 +193,7 @@ func runKeyedPair(t *testing.T, label string, g *dag.Graph, cfg sim.Config, s, s
 	return got
 }
 
-// TestKeyedPickEquivalence: every heap-backed Pick returns exactly what
+// TestKeyedPickEquivalence: every rank-queue Pick returns exactly what
 // the linear scan returns on the same State, and the schedules are
 // identical event for event, for LSpan, DType, MaxDP and ShiftBT.
 // Preemptive LSpan covers keys that change between enqueues; the
@@ -234,30 +235,23 @@ func TestKeyedEDDRelaxationEquivalence(t *testing.T) {
 		}
 		k := c.g.K()
 		typeCount := c.g.TypeCount()
-		fixedRank := make([][]int64, k)
+		fixed := make([]bool, k)
 		for a := 0; a < k/2; a++ {
-			ranks := make([]int64, c.g.NumTasks())
-			for i := range ranks {
-				ranks[i] = math.MaxInt64
-				if c.g.Task(dag.TaskID(i)).Type == dag.Type(a) {
-					ranks[i] = sb.rank[i]
-				}
-			}
-			fixedRank[a] = ranks
+			fixed[a] = true
 		}
 		candidate := dag.Type(k - 1)
 		procs := make([]int, k)
 		unlimited := make([]bool, k)
 		for a := range procs {
 			procs[a] = c.procs[a]
-			if fixedRank[a] == nil && dag.Type(a) != candidate {
+			if !fixed[a] && dag.Type(a) != candidate {
 				procs[a] = max(typeCount[a], 1)
 				unlimited[a] = true
 			}
 		}
 		cfg := c.cfg(procs)
 		newEDD := func(unlimited []bool) *eddSched {
-			return &eddSched{due: sb.due, fixedRank: fixedRank, unlimited: unlimited, candidate: candidate}
+			return &eddSched{rank: sb.rank, dueRank: sb.spans.rank, fixed: fixed, unlimited: unlimited, candidate: candidate}
 		}
 		edd := newEDD(unlimited)
 		res := runKeyedPair(t, c.name+"/EDD", c.g, cfg, edd, newEDD(unlimited))
@@ -286,4 +280,102 @@ func TestKeyedEDDRelaxationEquivalence(t *testing.T) {
 			}
 		}
 	}
+}
+
+// TestShiftBTRanksEveryTask: Prepare freezes an order for every type
+// with tasks, so each type's ranks are exactly 0..|α-tasks|−1 and Pick
+// never meets an unranked task. One job leaves a type without tasks.
+func TestShiftBTRanksEveryTask(t *testing.T) {
+	b := dag.NewBuilder(3)
+	x, y := b.AddTask(0, 2), b.AddTask(2, 3)
+	b.AddEdge(x, y)
+	b.AddTask(2, 1)
+	cases := append(drawKeyedCases(t, 31, nil), keyedCase{name: "empty type", g: b.MustBuild(), procs: []int{1, 1, 1}})
+	sb := NewShiftBT() // reused, so stale ranks from the last job would show
+	for _, c := range cases {
+		if err := sb.Prepare(c.g, sim.Config{Procs: c.procs}); err != nil {
+			t.Fatal(err)
+		}
+		seen := make([][]bool, c.g.K())
+		for a, n := range c.g.TypeCount() {
+			seen[a] = make([]bool, n)
+		}
+		for i := 0; i < c.g.NumTasks(); i++ {
+			a, r := c.g.Task(dag.TaskID(i)).Type, sb.rank[i]
+			if r < 0 || int(r) >= len(seen[a]) || seen[a][r] {
+				t.Fatalf("%s: task %d of type %d has rank %d, not a fresh place in 0..%d", c.name, i, a, r, len(seen[a])-1)
+			}
+			seen[a][r] = true
+		}
+	}
+}
+
+// rankFuzzSched picks through a rankQueue by a static key per task,
+// optionally re-keyed by the executed amount as preemptive LSpan's is,
+// which sends re-enqueued tasks to gap slots.
+type rankFuzzSched struct {
+	keys   []int64
+	rekey  int64 // 0, +1 or −1: the key moves by rekey·executed
+	static ranking[int64]
+	q      rankQueue
+}
+
+func (*rankFuzzSched) Name() string { return "rank-fuzz" }
+
+func (s *rankFuzzSched) Prepare(g *dag.Graph, _ sim.Config) error {
+	s.static.compute(g, false, func(id dag.TaskID) int64 { return s.keys[id] })
+	s.q.reset(g, 2)
+	return nil
+}
+
+func (s *rankFuzzSched) key(st *sim.State, id dag.TaskID) int64 {
+	return s.keys[id] + s.rekey*st.Executed(id)
+}
+
+func (s *rankFuzzSched) Pick(st *sim.State, alpha dag.Type) (dag.TaskID, bool) {
+	return s.q.pick(st, alpha, func(id dag.TaskID) (int32, int64) {
+		k := s.key(st, id)
+		return s.static.gapSlot(alpha, k), k
+	})
+}
+
+// FuzzRankQueue checks every rank-queue pick against a linear scan for
+// the smallest (key, ReadySeq). Keys come from a small range, so many
+// tie; preemption and fault plans re-enqueue tasks into non-empty
+// slots; re-keying by the executed amount puts them in gap slots.
+func FuzzRankQueue(f *testing.F) {
+	f.Add(int64(1), uint8(0), uint8(0))
+	f.Add(int64(2), uint8(3), uint8(1))
+	f.Add(int64(3), uint8(2), uint8(3))
+	f.Add(int64(4), uint8(5), uint8(5))
+	f.Add(int64(5), uint8(9), uint8(7))
+	f.Add(int64(6), uint8(1), uint8(15))
+	f.Fuzz(func(t *testing.T, seed int64, keyRange, flags uint8) {
+		rng := rand.New(rand.NewSource(seed))
+		class := []workload.Class{workload.EP, workload.Tree, workload.IR}[rng.Intn(3)]
+		k := 1 + rng.Intn(4)
+		wc := workload.Small(class, k, workload.Random)
+		wc.WorkMax = 9
+		g, err := workload.Generate(wc, rng)
+		if err != nil {
+			t.Skip(err)
+		}
+		s := &rankFuzzSched{keys: make([]int64, g.NumTasks())}
+		for i := range s.keys {
+			s.keys[i] = rng.Int63n(int64(keyRange) + 1)
+		}
+		procs := workload.SmallMachine.Sample(k, rng)
+		cfg := sim.Config{Procs: procs, Preemptive: flags&1 != 0}
+		if flags&2 != 0 {
+			s.rekey = 1 - 2*int64(flags>>2&1)
+		}
+		if flags&8 != 0 {
+			fc := fault.Config{MTTF: 30, MTTR: 10, Horizon: 512, FailureProb: 0.1, MaxRetries: 200}
+			cfg.Faults = fc.NewPlan(procs, rng)
+		}
+		checked := &pickChecker{Scheduler: s, t: t}
+		if _, err := sim.Run(g, checked, cfg); err != nil && !strings.Contains(err.Error(), "retry budget") {
+			t.Fatal(err)
+		}
+	})
 }

@@ -12,8 +12,8 @@ import (
 // classic critical-path rule, optimal for out-trees (Hu 1961); the
 // paper notes it loses optimality on K-DAGs.
 type LSpan struct {
-	spans []int64 // static per-task span from dag.Graph
-	q     keyedQueue
+	spans ranking[int64] // per-type span ranks, longest first
+	q     rankQueue
 }
 
 // NewLSpan returns the longest-span-first scheduler.
@@ -22,21 +22,23 @@ func NewLSpan() *LSpan { return &LSpan{} }
 // Name implements sim.Scheduler.
 func (*LSpan) Name() string { return "LSpan" }
 
-// Prepare implements sim.Scheduler, caching the per-task spans.
+// Prepare implements sim.Scheduler, ranking the per-task spans.
 func (l *LSpan) Prepare(g *dag.Graph, _ sim.Config) error {
-	l.spans = make([]int64, g.NumTasks())
-	for i := 0; i < g.NumTasks(); i++ {
-		l.spans[i] = g.TaskSpan(dag.TaskID(i))
-	}
-	l.q.reset(g.K())
+	l.spans.compute(g, true, g.TaskSpan)
+	l.q.reset(g, 2)
 	return nil
 }
 
 // Pick implements sim.Scheduler. Under preemption a task may have
 // partially executed before returning to the queue; its remaining span
-// shrinks by the executed amount.
+// shrinks by the executed amount, and it moves to the gap slot of its
+// remaining span (ranking.gapSlot).
 func (l *LSpan) Pick(st *sim.State, alpha dag.Type) (dag.TaskID, bool) {
-	return l.q.pick(st, alpha, func(id dag.TaskID) float64 {
-		return -float64(l.spans[id] - st.Executed(id))
+	return l.q.pick(st, alpha, func(id dag.TaskID) (int32, int64) {
+		left := l.spans.keys[id] - st.Executed(id)
+		if left == l.spans.keys[id] {
+			return 2*l.spans.rank[id] + 1, -left
+		}
+		return l.spans.gapSlot(alpha, left), -left
 	})
 }

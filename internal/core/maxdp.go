@@ -14,8 +14,8 @@ import (
 // of the descendants, which is why the paper finds it weak on EP
 // workloads.
 type MaxDP struct {
-	desc []float64
-	q    keyedQueue
+	desc ranking[float64] // per-type descendant-value ranks, largest first
+	q    rankQueue
 }
 
 // NewMaxDP returns the maximum-descendants-first scheduler.
@@ -27,12 +27,13 @@ func (*MaxDP) Name() string { return "MaxDP" }
 // Prepare implements sim.Scheduler. The descendant values come from
 // the graph's shared memo (computed once per graph, read-only here).
 func (m *MaxDP) Prepare(g *dag.Graph, _ sim.Config) error {
-	m.desc = g.SharedDescendantValues()
-	m.q.reset(g.K())
+	desc := g.SharedDescendantValues()
+	m.desc.compute(g, true, func(id dag.TaskID) float64 { return desc[id] })
+	m.q.reset(g, 1)
 	return nil
 }
 
 // Pick implements sim.Scheduler.
 func (m *MaxDP) Pick(st *sim.State, alpha dag.Type) (dag.TaskID, bool) {
-	return m.q.pick(st, alpha, func(id dag.TaskID) float64 { return -m.desc[id] })
+	return m.q.pick(st, alpha, func(id dag.TaskID) (int32, int64) { return m.desc.rank[id], 0 })
 }

@@ -264,7 +264,7 @@ func finiteScore(v float64) float64 {
 // reach first; all of them produce the same snapshot, so the head is
 // the only one worth scoring.
 //
-// Like keyedQueue it is fed from the state's enqueue log on each Pick,
+// Like rankQueue it is fed from the state's enqueue log on each Pick,
 // and the engine starts every task Pick returns, so take pops it. A
 // task that has executed part of its work (preempted, or killed in
 // preemptive mode) has a snapshot of its own: it is enqueued as a

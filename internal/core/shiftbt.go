@@ -27,12 +27,13 @@ import (
 //     repeats with the remaining types.
 //
 // At runtime each pool simply dispatches ready tasks in its frozen
-// order (EDD as a tie-break safety net).
+// order. Every type with tasks is fixed, so every task has a place.
 type ShiftBT struct {
-	rank []int64 // per-task dispatch rank within its type
-	due  []int64
-	q    keyedQueue
-	edd  eddSched // relaxation policy, reused across relaxations
+	rank  []int32 // per task: its place in its type's frozen start order
+	due   []int64
+	spans ranking[int64] // span ranks, longest first: the EDD order
+	q     rankQueue
+	edd   eddSched // relaxation policy, reused across relaxations
 
 	// run simulates the relaxations. It cannot be the caller's Runner:
 	// Prepare runs inside the caller's Run.
@@ -40,6 +41,7 @@ type ShiftBT struct {
 	// order is the latest relaxation's candidate start order and best
 	// the round's best so far; the two swap instead of reallocating.
 	order, best []dag.TaskID
+	procs       []int
 }
 
 // NewShiftBT returns the shifting-bottleneck scheduler.
@@ -53,48 +55,46 @@ func (*ShiftBT) Name() string { return "ShiftBT" }
 func (s *ShiftBT) Prepare(g *dag.Graph, cfg sim.Config) error {
 	n := g.NumTasks()
 	k := g.K()
-	s.q.reset(k)
-	s.due = make([]int64, n)
+	s.q.reset(g, 1)
+	s.due = grow(s.due, n)
 	for i := 0; i < n; i++ {
 		s.due[i] = g.Span() - g.TaskSpan(dag.TaskID(i))
 	}
-	s.rank = make([]int64, n)
-	for i := range s.rank {
-		s.rank[i] = math.MaxInt64 // unfixed tasks sort last
-	}
+	s.rank = grow(s.rank, n)
 	if n == 0 {
 		return nil
 	}
+	// due = T∞ − span, so the EDD order is the longest-span-first one.
+	s.spans.compute(g, true, g.TaskSpan)
 
 	typeCount := g.TypeCount()
-	fixedRank := make([][]int64, k) // nil until the type is fixed
-	unfixed := make([]bool, k)
+	s.edd.rank, s.edd.dueRank = s.rank, s.spans.rank
+	s.edd.fixed, s.edd.unlimited = grow(s.edd.fixed, k), grow(s.edd.unlimited, k)
 	nUnfixed := 0
 	for a := 0; a < k; a++ {
-		if typeCount[a] > 0 {
-			unfixed[a] = true
+		// A type without tasks counts as fixed: it has nothing to order.
+		s.edd.fixed[a] = typeCount[a] == 0
+		if !s.edd.fixed[a] {
 			nUnfixed++
 		}
 	}
-	s.edd.due, s.edd.fixedRank = s.due, fixedRank
-	s.edd.unlimited = make([]bool, k)
-	procs := make([]int, k)
+	s.procs = grow(s.procs, k)
 
 	for nUnfixed > 0 {
 		bestType := -1
 		var bestLateness int64
 		for a := 0; a < k; a++ {
-			if !unfixed[a] {
+			if s.edd.fixed[a] {
 				continue
 			}
 			for b := 0; b < k; b++ {
-				s.edd.unlimited[b] = b != a && fixedRank[b] == nil
-				procs[b] = cfg.Procs[b]
+				s.edd.unlimited[b] = b != a && !s.edd.fixed[b]
+				s.procs[b] = cfg.Procs[b]
 				if s.edd.unlimited[b] {
-					procs[b] = max(typeCount[b], 1)
+					s.procs[b] = max(typeCount[b], 1)
 				}
 			}
-			lateness, err := s.relax(g, procs, dag.Type(a))
+			lateness, err := s.relax(g, s.procs, dag.Type(a))
 			if err != nil {
 				return fmt.Errorf("core: ShiftBT relaxation for type %d: %w", a, err)
 			}
@@ -103,13 +103,12 @@ func (s *ShiftBT) Prepare(g *dag.Graph, cfg sim.Config) error {
 				s.order, s.best = s.best, s.order
 			}
 		}
-		for pos, id := range s.best {
-			s.rank[id] = int64(pos)
-		}
 		// A relaxation reads a fixed type's ranks for that type's tasks
-		// only, so every fixed type can share s.rank.
-		fixedRank[bestType] = s.rank
-		unfixed[bestType] = false
+		// only, so every type shares s.rank.
+		for pos, id := range s.best {
+			s.rank[id] = int32(pos)
+		}
+		s.edd.fixed[bestType] = true
 		nUnfixed--
 	}
 	return nil
@@ -149,15 +148,9 @@ func (s *ShiftBT) relax(g *dag.Graph, procs []int, candidate dag.Type) (int64, e
 	return lateness, nil
 }
 
-// Pick implements sim.Scheduler: dispatch in frozen bottleneck order,
-// falling back to earliest due date for any task without a rank.
+// Pick implements sim.Scheduler: dispatch in frozen bottleneck order.
 func (s *ShiftBT) Pick(st *sim.State, alpha dag.Type) (dag.TaskID, bool) {
-	return s.q.pick(st, alpha, func(id dag.TaskID) float64 {
-		if s.rank[id] != math.MaxInt64 {
-			return float64(s.rank[id])
-		}
-		return float64(math.MaxInt32) + float64(s.due[id])
-	})
+	return s.q.pick(st, alpha, func(id dag.TaskID) (int32, int64) { return s.rank[id], 0 })
 }
 
 // eddSched is the inner policy of ShiftBT's relaxations: fixed types
@@ -167,12 +160,13 @@ func (s *ShiftBT) Pick(st *sim.State, alpha dag.Type) (dag.TaskID, bool) {
 // each candidate-type task is picked; the relaxation is non-preemptive
 // and fault-free, so a picked task starts at that instant.
 type eddSched struct {
-	due       []int64
-	fixedRank [][]int64
-	unlimited []bool // per type: one processor per task
+	rank      []int32 // per task: frozen position, read for fixed types
+	dueRank   []int32 // per task: due-date rank within its type
+	fixed     []bool  // per type: its order is frozen
+	unlimited []bool  // per type: one processor per task
 	candidate dag.Type
 	starts    []taskStart
-	q         keyedQueue
+	q         rankQueue
 }
 
 // taskStart is one candidate-type start in a relaxation.
@@ -184,7 +178,7 @@ type taskStart struct {
 func (*eddSched) Name() string { return "ShiftBT/EDD-relaxation" }
 
 func (e *eddSched) Prepare(g *dag.Graph, _ sim.Config) error {
-	e.q.reset(g.K())
+	e.q.reset(g, 1)
 	return nil
 }
 
@@ -195,15 +189,11 @@ func (e *eddSched) Pick(st *sim.State, alpha dag.Type) (dag.TaskID, bool) {
 		}
 		return dag.NoTask, false
 	}
-	var (
-		id dag.TaskID
-		ok bool
-	)
-	if ranks := e.fixedRank[alpha]; ranks != nil {
-		id, ok = e.q.pick(st, alpha, func(t dag.TaskID) float64 { return float64(ranks[t]) })
-	} else {
-		id, ok = e.q.pick(st, alpha, func(t dag.TaskID) float64 { return float64(e.due[t]) })
+	ranks := e.dueRank
+	if e.fixed[alpha] {
+		ranks = e.rank
 	}
+	id, ok := e.q.pick(st, alpha, func(t dag.TaskID) (int32, int64) { return ranks[t], 0 })
 	if ok && alpha == e.candidate {
 		e.starts = append(e.starts, taskStart{t: st.Now(), id: id})
 	}

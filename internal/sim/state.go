@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"cmp"
 	"fmt"
 	"slices"
 
@@ -23,6 +24,9 @@ type State struct {
 	// position.
 	queues    []readyQueue
 	queueWork []int64 // total remaining work per queue
+	// pos[id] is the slot id last held in its type's queue buffer: its
+	// own while queued, its hole after it leaves (see readyQueue).
+	pos []int32
 
 	// enqueued[α] logs every task appended to α's ready queue, in
 	// order, re-enqueues included (see Enqueued).
@@ -68,9 +72,11 @@ func (st *State) reset(g *dag.Graph, cfg *Config) {
 	st.pendingParents = slices.Grow(st.pendingParents[:0], n)[:n]
 	st.completed = slices.Grow(st.completed[:0], n)[:n]
 	clear(st.completed)
-	// A type's queue never holds more than its task count, so twice
-	// that leaves room for the dead prefix and the queues never grow.
-	// The log fits one entry per task; only re-enqueues can outgrow it.
+	// pos is only read for a task placed in this run, so it is not
+	// cleared. A type's queue never holds more than its task count, so
+	// twice that leaves room for holes and the queues never grow. The
+	// log fits one entry per task; only re-enqueues can outgrow it.
+	st.pos = slices.Grow(st.pos[:0], n)[:n]
 	st.qbuf = slices.Grow(st.qbuf[:0], 2*n)[:2*n]
 	st.logBuf = slices.Grow(st.logBuf[:0], n)[:n]
 	off := 0
@@ -108,12 +114,19 @@ func (st *State) Now() int64 { return st.now }
 func (st *State) Procs(alpha dag.Type) int { return st.cap[alpha] }
 
 // Ready returns the ready queue for alpha in first-ready (FIFO) order,
-// that is, in increasing ReadySeq. The slice is a view; callers must
-// not modify or retain it.
-func (st *State) Ready(alpha dag.Type) []dag.TaskID { return st.queues[alpha].tasks() }
+// that is, in increasing ReadySeq. The slice is a view, valid until
+// the engine next changes the queue; callers must not modify or retain
+// it. Reading it squeezes out the holes that removals left.
+func (st *State) Ready(alpha dag.Type) []dag.TaskID {
+	q := &st.queues[alpha]
+	if q.holes > 0 {
+		st.squeeze(q)
+	}
+	return q.buf[q.head:]
+}
 
 // QueueLen returns the number of ready tasks of the given type.
-func (st *State) QueueLen(alpha dag.Type) int { return st.queues[alpha].len() }
+func (st *State) QueueLen(alpha dag.Type) int { return st.queues[alpha].n }
 
 // ReadySeq returns the task's readiness sequence number: the order in
 // which it first became ready, kept across preemption, kill and
@@ -151,54 +164,102 @@ func (st *State) NumCompleted() int { return st.nCompleted }
 // position, assigning the sequence number on first entry (re-entries
 // after preemption, kill or failure keep the original number, so FIFO
 // order is stable across them). A first entry has the largest number
-// yet, so it goes to the tail.
+// yet, so it goes to the tail; a re-entry goes back into its hole when
+// the hole is still there.
 func (st *State) enqueue(id dag.TaskID) {
 	alpha := st.g.Task(id).Type
 	q := &st.queues[alpha]
-	if st.readySeq[id] < 0 {
+	switch p := int(st.pos[id]); {
+	case st.readySeq[id] < 0:
 		st.readySeq[id] = st.seqCounter
 		st.seqCounter++
-		q.push(id)
-	} else {
-		q.insert(st.seqIndex(alpha, id), id)
+		if len(q.buf) == cap(q.buf) {
+			st.compact(q)
+		}
+		st.pos[id] = int32(len(q.buf))
+		q.buf = append(q.buf, id)
+	case p < len(q.buf) && q.buf[p] == ^id:
+		q.fill(p, id)
+	default:
+		st.insert(q, id)
 	}
+	q.n++
 	st.enqueued[alpha] = append(st.enqueued[alpha], id)
 	st.queueWork[alpha] += st.remaining[id]
 }
 
 // dequeue removes a specific ready task, returning false if the task
 // is not in the queue for its type (a scheduler contract violation).
-// The head, where FIFO picks remove, is tried before the search.
+// The task leaves a hole; a removal at the head, where FIFO picks
+// remove, moves the head past the holes behind it.
 func (st *State) dequeue(id dag.TaskID) bool {
 	alpha := st.g.Task(id).Type
-	q := st.queues[alpha].tasks()
-	i := 0
-	if len(q) == 0 || q[0] != id {
-		i = st.seqIndex(alpha, id)
-		if i == len(q) || q[i] != id {
+	q := &st.queues[alpha]
+	p := q.head
+	if p == len(q.buf) || q.buf[p] != id {
+		p = int(st.pos[id])
+		if p < q.head || p >= len(q.buf) || q.buf[p] != id {
 			return false
 		}
 	}
-	st.queues[alpha].remove(i)
+	q.buf[p] = ^id
+	q.n--
+	if p == q.head {
+		for q.head++; q.head < len(q.buf) && q.buf[q.head] < 0; q.head++ {
+			q.holes--
+		}
+	} else {
+		q.holes++
+		q.last = max(q.last, p)
+	}
 	st.queueWork[alpha] -= st.remaining[id]
 	return true
 }
 
-// seqIndex returns the position of id's ReadySeq in alpha's queue: the
-// index of the first queued task whose ReadySeq is not smaller.
-func (st *State) seqIndex(alpha dag.Type, id dag.TaskID) int {
-	q := st.queues[alpha].tasks()
-	seq := st.readySeq[id]
-	lo, hi := 0, len(q)
-	for lo < hi {
-		mid := int(uint(lo+hi) >> 1)
-		if st.readySeq[q[mid]] < seq {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
+// insert places a re-entering task whose hole is gone at its ReadySeq
+// position. Holes sit in the order too, so the search runs over every
+// slot. A position below the head is a hole and takes the task as is;
+// otherwise the gap opens from the shorter side and the slots that
+// moved are renumbered.
+func (st *State) insert(q *readyQueue, id dag.TaskID) {
+	if q.head == 0 && len(q.buf) == cap(q.buf) {
+		st.compact(q)
 	}
-	return lo
+	i, _ := slices.BinarySearchFunc(q.buf, st.readySeq[id], func(v dag.TaskID, seq int64) int {
+		return cmp.Compare(st.readySeq[owner(v)], seq)
+	})
+	if i < q.head {
+		q.fill(i, id)
+		st.pos[id] = int32(i)
+		return
+	}
+	if q.head > 0 && (i-q.head < len(q.buf)-i || len(q.buf) == cap(q.buf)) {
+		// The slot below the head is a hole; the prefix moves onto it.
+		q.head--
+		for p := q.head; p < i-1; p++ {
+			st.move(q, p+1, p)
+		}
+		i--
+	} else {
+		q.buf = append(q.buf, 0)
+		for p := len(q.buf) - 1; p > i; p-- {
+			st.move(q, p-1, p)
+		}
+		q.last = max(q.last, len(q.buf)-1)
+	}
+	q.buf[i] = id
+	st.pos[id] = int32(i)
+}
+
+// move copies slot from to slot to, carrying its task's position: a
+// queued task's always, a hole's only when the hole is its owner's own
+// (not a filler, see squeeze).
+func (st *State) move(q *readyQueue, from, to int) {
+	v := q.buf[from]
+	q.buf[to] = v
+	if x := owner(v); int(st.pos[x]) == from {
+		st.pos[x] = int32(to)
+	}
 }
 
 // retry re-enqueues a task after a crash kill or transient failure,
@@ -226,53 +287,75 @@ func (st *State) complete(id dag.TaskID) {
 	}
 }
 
-// readyQueue is one type's ready queue, buf[head:]. Insertion and
-// removal close or open the gap from the shorter side, so order is
-// kept and a head pop (FIFO) costs O(1). The dead prefix is reclaimed
-// when an insertion finds the buffer full.
+// readyQueue is one type's ready queue: the slots buf[head:] in
+// ReadySeq order. A task that leaves puts ^id, a hole, in its slot, so
+// removal costs O(1), and State.pos finds the hole again when the task
+// re-enters: filling it keeps the order and costs O(1) too. Holes are
+// part of the order (a hole ^x sorts as x), so any hole of x is a
+// valid slot for x. The head skips holes, so every slot below it is
+// one. Holes are squeezed out when Ready is read or the buffer is full.
 type readyQueue struct {
-	buf  []dag.TaskID
-	head int
+	buf   []dag.TaskID
+	head  int
+	n     int // queued tasks
+	holes int // holes in buf[head:]
+	last  int // no hole in buf[head:] lies past last
 }
 
-func (q *readyQueue) tasks() []dag.TaskID { return q.buf[q.head:] }
-
-func (q *readyQueue) len() int { return len(q.buf) - q.head }
-
-// push appends id at the tail, reclaiming the dead prefix first when
-// the buffer is full.
-func (q *readyQueue) push(id dag.TaskID) {
-	if q.head > 0 && len(q.buf) == cap(q.buf) {
-		q.buf, q.head = q.buf[:copy(q.buf, q.buf[q.head:])], 0
+// owner returns the task a slot belongs to, queued or a hole.
+func owner(v dag.TaskID) dag.TaskID {
+	if v < 0 {
+		return ^v
 	}
-	q.buf = append(q.buf, id)
+	return v
 }
 
-// insert places id at queue position i.
-func (q *readyQueue) insert(i int, id dag.TaskID) {
-	if q.head > 0 && i < q.len()/2 {
-		q.head--
-		copy(q.buf[q.head:], q.buf[q.head+1:q.head+1+i])
-		q.buf[q.head+i] = id
+// fill puts id into the hole at slot p, where id sorts.
+func (q *readyQueue) fill(p int, id dag.TaskID) {
+	q.buf[p] = id
+	if p >= q.head {
+		q.holes--
 		return
 	}
-	q.push(id)
-	s := q.tasks()
-	copy(s[i+1:], s[i:])
-	s[i] = id
+	// The slots between p and the head are holes, and now inside.
+	q.holes += q.head - p - 1
+	q.last = max(q.last, q.head-1)
+	q.head = p
 }
 
-// remove deletes the task at queue position i.
-func (q *readyQueue) remove(i int) {
-	s := q.buf[q.head:]
-	if i < len(s)/2 {
-		copy(s[1:i+1], s[:i])
-		q.head++
-	} else {
-		copy(s[i:], s[i+1:])
-		q.buf = q.buf[:len(q.buf)-1]
+// squeeze removes the holes from buf[head:] by moving the queued tasks
+// of buf[head:last+1] up against last. The slots this frees fall below
+// the new head and become fillers: holes of the new head's task, which
+// sort where they stand. A FIFO consumer leaves holes only near the
+// head, so this costs what lies between the head and the last hole.
+func (st *State) squeeze(q *readyQueue) {
+	w := q.last
+	for r := q.last; r >= q.head; r-- {
+		if v := q.buf[r]; v >= 0 {
+			q.buf[w] = v
+			st.pos[v] = int32(w)
+			w--
+		}
 	}
-	if q.head == len(q.buf) {
-		q.buf, q.head = q.buf[:0], 0
+	if w < q.last {
+		filler := ^q.buf[w+1]
+		for p := q.head; p <= w; p++ {
+			q.buf[p] = filler
+		}
 	}
+	q.head, q.holes, q.last = w+1, 0, 0
+}
+
+// compact moves the queued tasks to the front of the buffer, dropping
+// every hole.
+func (st *State) compact(q *readyQueue) {
+	w := 0
+	for _, v := range q.buf[q.head:] {
+		if v >= 0 {
+			q.buf[w] = v
+			st.pos[v] = int32(w)
+			w++
+		}
+	}
+	q.buf, q.head, q.holes, q.last = q.buf[:w], 0, 0, 0
 }

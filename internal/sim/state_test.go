@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/rand"
 	"slices"
+	"strings"
 	"testing"
 
 	"fhs/internal/dag"
@@ -230,4 +231,172 @@ func insertBySeq(st *State, model []dag.TaskID, id dag.TaskID) []dag.TaskID {
 	copy(model[i+1:], model[i:])
 	model[i] = id
 	return model
+}
+
+// TestHoleQueueMatchesModel drives every queue of a three-type job
+// through random first enqueues, removals anywhere, re-enqueues with an
+// old ReadySeq and occasional reads of Ready, and checks QueueLen and
+// QueueWork after every step and Ready whenever it is read against a
+// slice model kept in ReadySeq order. Reading Ready rarely lets holes
+// pile up, so re-enqueues find their holes, lose them to a squeeze, or
+// land below the head; the small queues also fill their buffers.
+func TestHoleQueueMatchesModel(t *testing.T) {
+	const k, n = 3, 90
+	for seed := int64(0); seed < 40; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		b := dag.NewBuilder(k)
+		root := b.AddTask(0, 1)
+		for i := 1; i < n; i++ {
+			id := b.AddTask(dag.Type(rng.Intn(k)), 1+rng.Int63n(9))
+			if rng.Intn(3) > 0 {
+				b.AddEdge(root, id) // not ready until enqueued by hand
+			}
+		}
+		g := b.MustBuild()
+		st := newState(g, &Config{Procs: []int{1, 1, 1}})
+		model := make([][]dag.TaskID, k)
+		var out, fresh []dag.TaskID // left the queue / never ready yet
+		for i := 0; i < n; i++ {
+			id := dag.TaskID(i)
+			if g.NumParents(id) > 0 {
+				fresh = append(fresh, id)
+			} else {
+				a := g.Task(id).Type
+				model[a] = append(model[a], id)
+			}
+		}
+		readEvery := 1 + rng.Intn(16)
+		for step := 0; step < 3000; step++ {
+			a := dag.Type(rng.Intn(k))
+			switch op := rng.Intn(4); {
+			case op == 0 && len(model[a]) > 0:
+				i := rng.Intn(len(model[a]))
+				if rng.Intn(3) == 0 {
+					i = 0 // head pops, as FIFO picks do
+				}
+				id := model[a][i]
+				if !st.dequeue(id) {
+					t.Fatalf("seed %d step %d: dequeue(%d) failed", seed, step, id)
+				}
+				model[a] = slices.Delete(model[a], i, i+1)
+				out = append(out, id)
+			case op == 1 && len(out) > 0:
+				i := rng.Intn(len(out))
+				if rng.Intn(2) == 0 {
+					i = len(out) - 1 // the latest to leave, as preemption re-enqueues
+				}
+				id := out[i]
+				out = slices.Delete(out, i, i+1)
+				st.enqueue(id)
+				a := g.Task(id).Type
+				model[a] = insertBySeq(st, model[a], id)
+			case op == 2 && len(fresh) > 0 && rng.Intn(10) == 0:
+				// Rare, so re-enqueues can fill a buffer before the
+				// last first enqueue arrives.
+				id := fresh[0]
+				fresh = fresh[1:]
+				st.enqueue(id)
+				a := g.Task(id).Type
+				model[a] = insertBySeq(st, model[a], id)
+			case op == 3 && len(out) > 0:
+				if id := out[rng.Intn(len(out))]; st.dequeue(id) {
+					t.Fatalf("seed %d step %d: dequeue of task %d, which is not queued, succeeded", seed, step, id)
+				}
+			}
+			for a := dag.Type(0); a < k; a++ {
+				var work int64
+				for _, id := range model[a] {
+					work += st.Remaining(id)
+				}
+				if st.QueueWork(a) != work || st.QueueLen(a) != len(model[a]) {
+					t.Fatalf("seed %d step %d type %d: QueueWork %d len %d, model %d len %d",
+						seed, step, a, st.QueueWork(a), st.QueueLen(a), work, len(model[a]))
+				}
+				if err := holeInvariants(st, a); err != nil {
+					t.Fatalf("seed %d step %d type %d: %v", seed, step, a, err)
+				}
+				if step%readEvery == 0 && rng.Intn(k) == 0 {
+					if got := st.Ready(a); !slices.Equal(got, model[a]) {
+						t.Fatalf("seed %d step %d type %d: Ready %v, model %v", seed, step, a, got, model[a])
+					}
+				}
+			}
+		}
+	}
+}
+
+// holeInvariants checks a queue's bookkeeping: only holes below the
+// head, holes counted and bounded by last, queued tasks counted, and
+// every queued task found through its position.
+func holeInvariants(st *State, a dag.Type) error {
+	q := &st.queues[a]
+	holes, n := 0, 0
+	for p, v := range q.buf {
+		switch {
+		case p < q.head && v >= 0:
+			return fmt.Errorf("slot %d below head %d holds task %d", p, q.head, v)
+		case p >= q.head && v < 0:
+			holes++
+			if p > q.last {
+				return fmt.Errorf("hole at %d past last %d", p, q.last)
+			}
+		case v >= 0:
+			n++
+			if int(st.pos[v]) != p {
+				return fmt.Errorf("task %d at slot %d has position %d", v, p, st.pos[v])
+			}
+		}
+	}
+	if holes != q.holes || n != q.n {
+		return fmt.Errorf("%d holes and %d tasks, counted %d and %d", holes, n, q.holes, q.n)
+	}
+	return nil
+}
+
+// slotThief picks a task that is not at the head, then on its next
+// Pick reads Ready, which squeezes the hole that task left and moves a
+// queued task into its old slot, and returns the first task again.
+type slotThief struct {
+	first  dag.TaskID
+	reused bool // the old slot held a queued task at the second pick
+}
+
+func (*slotThief) Name() string                     { return "slot-thief" }
+func (*slotThief) Prepare(*dag.Graph, Config) error { return nil }
+func (s *slotThief) Pick(st *State, a dag.Type) (dag.TaskID, bool) {
+	q := st.Ready(a)
+	if s.first == dag.NoTask {
+		s.first = q[len(q)-2]
+		return s.first, true
+	}
+	buf := st.queues[a].buf
+	p := int(st.pos[s.first])
+	s.reused = p < len(buf) && buf[p] >= 0 && buf[p] != s.first
+	return s.first, true
+}
+
+// TestEngineRejectsPickOfLeftTask: a scheduler that returns a task it
+// already started, or one that has completed, is rejected even after
+// the squeeze has handed that task's old slot to another task.
+func TestEngineRejectsPickOfLeftTask(t *testing.T) {
+	g := dag.NewBuilder(1)
+	for i := 0; i < 4; i++ {
+		g.AddTask(0, 1)
+	}
+	job := g.MustBuild()
+	for _, c := range []struct {
+		name  string
+		procs int // 2: picked again while running; 1: after completing
+	}{{"started", 2}, {"completed", 1}} {
+		for _, preemptive := range []bool{false, true} {
+			s := &slotThief{first: dag.NoTask}
+			_, err := Run(job, s, Config{Procs: []int{c.procs}, Preemptive: preemptive})
+			if err == nil || !strings.Contains(err.Error(), "not ready") {
+				t.Errorf("%s, preemptive=%v: want contract violation, got %v", c.name, preemptive, err)
+			}
+			if !s.reused {
+				t.Errorf("%s, preemptive=%v: the picked task's old slot was not reused", c.name, preemptive)
+			}
+		}
+	}
 }

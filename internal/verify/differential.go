@@ -65,8 +65,9 @@ func CrossCheckEngines(g *dag.Graph, procs []int, newSched func() sim.Scheduler,
 			return sim.Result{}, fmt.Errorf("verify: cross-check requires unit work, task %d has %d", i, w)
 		}
 	}
+	var r sim.Runner
 	npCfg := sim.Config{Procs: procs, CollectTrace: true}
-	np, err := sim.Run(g, newSched(), npCfg)
+	np, err := r.Run(g, newSched(), npCfg)
 	if err != nil {
 		return np, fmt.Errorf("verify: non-preemptive run: %w", err)
 	}
@@ -74,7 +75,7 @@ func CrossCheckEngines(g *dag.Graph, procs []int, newSched func() sim.Scheduler,
 		return np, fmt.Errorf("verify: non-preemptive audit: %w", err)
 	}
 	pCfg := sim.Config{Procs: procs, Preemptive: true, Quantum: 1, CollectTrace: true}
-	p, err := sim.Run(g, newSched(), pCfg)
+	p, err := r.Run(g, newSched(), pCfg)
 	if err != nil {
 		return np, fmt.Errorf("verify: preemptive run: %w", err)
 	}
@@ -113,8 +114,9 @@ func CrossCheckEngines(g *dag.Graph, procs []int, newSched func() sim.Scheduler,
 // equality, so it is sound for ready-queue-order-sensitive policies;
 // both completion times are returned for optimum checks.
 func AuditBothEngines(g *dag.Graph, procs []int, newSched func() sim.Scheduler, opts Options) (np, p sim.Result, err error) {
+	var r sim.Runner
 	npCfg := sim.Config{Procs: procs, CollectTrace: true}
-	np, err = sim.Run(g, newSched(), npCfg)
+	np, err = r.Run(g, newSched(), npCfg)
 	if err != nil {
 		return np, p, fmt.Errorf("verify: non-preemptive run: %w", err)
 	}
@@ -122,7 +124,7 @@ func AuditBothEngines(g *dag.Graph, procs []int, newSched func() sim.Scheduler, 
 		return np, p, fmt.Errorf("verify: non-preemptive audit: %w", err)
 	}
 	pCfg := sim.Config{Procs: procs, Preemptive: true, Quantum: 1, CollectTrace: true}
-	p, err = sim.Run(g, newSched(), pCfg)
+	p, err = r.Run(g, newSched(), pCfg)
 	if err != nil {
 		return np, p, fmt.Errorf("verify: preemptive run: %w", err)
 	}
