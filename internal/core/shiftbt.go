@@ -29,8 +29,7 @@ import (
 // At runtime each pool simply dispatches ready tasks in its frozen
 // order. Every type with tasks is fixed, so every task has a place.
 type ShiftBT struct {
-	rank  []int32 // per task: its place in its type's frozen start order
-	due   []int64
+	rank  []int32        // per task: its place in its type's frozen start order
 	spans ranking[int64] // span ranks, longest first: the EDD order
 	q     rankQueue
 	edd   eddSched // relaxation policy, reused across relaxations
@@ -56,10 +55,6 @@ func (s *ShiftBT) Prepare(g *dag.Graph, cfg sim.Config) error {
 	n := g.NumTasks()
 	k := g.K()
 	s.q.reset(g, 1)
-	s.due = grow(s.due, n)
-	for i := 0; i < n; i++ {
-		s.due[i] = g.Span() - g.TaskSpan(dag.TaskID(i))
-	}
 	s.rank = grow(s.rank, n)
 	if n == 0 {
 		return nil
@@ -127,7 +122,7 @@ func (s *ShiftBT) relax(g *dag.Graph, procs []int, candidate dag.Type) (int64, e
 	starts := s.edd.starts
 	lateness := int64(math.MinInt64)
 	for _, ts := range starts {
-		if l := ts.t - s.due[ts.id]; l > lateness {
+		if l := ts.t - (g.Span() - g.TaskSpan(ts.id)); l > lateness {
 			lateness = l
 		}
 	}
