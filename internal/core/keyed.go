@@ -11,8 +11,8 @@ import (
 )
 
 // rankQueue answers Pick for the static-priority schedulers (LSpan,
-// DType, MaxDP, ShiftBT and ShiftBT's relaxation policy) from one
-// bucket queue per type. A policy ranks its keys once in Prepare and
+// DType, MaxDP and ShiftBT) from one bucket queue per type, and queues
+// ShiftBT's relaxations. A policy ranks its keys once in Prepare and
 // maps each queued task to a slot; lower slots are better. Each slot
 // holds a list of its tasks ordered by (key, ReadySeq), and a
 // hierarchical bitmap finds the lowest non-empty slot.
@@ -78,13 +78,19 @@ func (q *rankQueue) reset(g *dag.Graph, perTask int) {
 // and the key that orders it within the slot. ok is false on an empty
 // queue.
 func (q *rankQueue) pick(st *sim.State, alpha dag.Type, slot func(dag.TaskID) (int32, int64)) (dag.TaskID, bool) {
-	t := &q.types[alpha]
 	log := st.Enqueued(alpha)
 	for _, id := range log[q.drained[alpha]:] {
 		s, key := slot(id)
-		q.push(st, t, int(s), id, key)
+		q.push(st, alpha, int(s), id, key)
 	}
 	q.drained[alpha] = len(log)
+	return q.pop(alpha)
+}
+
+// pop removes and returns the head of alpha's lowest non-empty slot.
+// ok is false on an empty queue.
+func (q *rankQueue) pop(alpha dag.Type) (dag.TaskID, bool) {
+	t := &q.types[alpha]
 	s := t.bits.min()
 	if s < 0 {
 		return dag.NoTask, false
@@ -98,23 +104,32 @@ func (q *rankQueue) pick(st *sim.State, alpha dag.Type, slot func(dag.TaskID) (i
 	return id, true
 }
 
-// push adds id to slot s. A first readiness, and any task of a static
-// policy that ranks after the slot's tail, appends in O(1); a
-// re-enqueue ahead of it walks the list from its head.
-func (q *rankQueue) push(st *sim.State, t *rankType, s int, id dag.TaskID, key int64) {
-	q.key[id] = key
-	if !t.bits.has(s) {
-		t.head[s], t.tail[s] = id, id
+// append adds id at the tail of alpha's slot s. A caller that queues
+// every task once, in ReadySeq order, needs nothing else: each slot's
+// list is then in ReadySeq order.
+func (q *rankQueue) append(alpha dag.Type, s int, id dag.TaskID) {
+	t := &q.types[alpha]
+	if t.bits.has(s) {
+		q.next[t.tail[s]] = id
+	} else {
+		t.head[s] = id
 		t.bits.set(s)
-		return
 	}
+	t.tail[s] = id
+}
+
+// push adds id to alpha's slot s. A first readiness, and any task of a
+// static policy that ranks after the slot's tail, appends in O(1); a
+// re-enqueue ahead of it walks the list from its head.
+func (q *rankQueue) push(st *sim.State, alpha dag.Type, s int, id dag.TaskID, key int64) {
+	q.key[id] = key
+	t := &q.types[alpha]
 	seq := st.ReadySeq(id)
 	before := func(x dag.TaskID) bool {
 		return q.key[x] < key || q.key[x] == key && st.ReadySeq(x) < seq
 	}
-	if before(t.tail[s]) {
-		q.next[t.tail[s]] = id
-		t.tail[s] = id
+	if !t.bits.has(s) || before(t.tail[s]) {
+		q.append(alpha, s, id)
 		return
 	}
 	if !before(t.head[s]) {

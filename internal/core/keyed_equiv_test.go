@@ -1,7 +1,9 @@
 package core
 
 import (
+	"cmp"
 	"fmt"
+	"math"
 	"math/rand"
 	"slices"
 	"strings"
@@ -58,18 +60,6 @@ func scanPick(s sim.Scheduler, st *sim.State, alpha dag.Type) (dag.TaskID, bool)
 		return pickMax(st, alpha, func(id dag.TaskID) float64 { return desc[id] })
 	case *ShiftBT:
 		return pickMin(st, alpha, func(id dag.TaskID) float64 { return float64(s.rank[id]) })
-	case *eddSched:
-		if s.unlimited[alpha] {
-			q := st.Ready(alpha)
-			if len(q) == 0 {
-				return dag.NoTask, false
-			}
-			return q[0], true
-		}
-		if s.fixed[alpha] {
-			return pickMin(st, alpha, func(id dag.TaskID) float64 { return float64(s.rank[id]) })
-		}
-		return pickMin(st, alpha, func(id dag.TaskID) float64 { return float64(g.Span() - g.TaskSpan(id)) })
 	case *rankFuzzSched:
 		return pickMin(st, alpha, func(id dag.TaskID) float64 { return float64(s.key(st, id)) })
 	}
@@ -221,76 +211,243 @@ func TestKeyedPickEquivalence(t *testing.T) {
 	}
 }
 
-// TestKeyedEDDRelaxationEquivalence checks ShiftBT's relaxation policy
-// the same way, on relaxation machines with some types frozen. In a
-// non-preemptive fault-free run it also checks the start-recording
-// rule (the recorded candidate picks are exactly the trace's candidate
-// starts, in order) and that head picks on unlimited pools record the
-// same starts as EDD picks there.
-func TestKeyedEDDRelaxationEquivalence(t *testing.T) {
-	for _, c := range drawKeyedCases(t, 29, nil) {
-		sb := NewShiftBT()
-		if err := sb.Prepare(c.g, sim.Config{Procs: c.procs}); err != nil {
-			t.Fatal(err)
-		}
-		k := c.g.K()
-		typeCount := c.g.TypeCount()
-		fixed := make([]bool, k)
-		for a := 0; a < k/2; a++ {
-			fixed[a] = true
-		}
-		candidate := dag.Type(k - 1)
-		procs := make([]int, k)
-		unlimited := make([]bool, k)
-		for a := range procs {
-			procs[a] = c.procs[a]
-			if !fixed[a] && dag.Type(a) != candidate {
-				procs[a] = max(typeCount[a], 1)
-				unlimited[a] = true
-			}
-		}
-		cfg := c.cfg(procs)
-		newEDD := func(unlimited []bool) *eddSched {
-			return &eddSched{rank: sb.rank, dueRank: sb.spans.rank, fixed: fixed, unlimited: unlimited, candidate: candidate}
-		}
-		edd := newEDD(unlimited)
-		res := runKeyedPair(t, c.name+"/EDD", c.g, cfg, edd, newEDD(unlimited))
-		if cfg.Preemptive || cfg.Faults != nil {
-			continue
-		}
-		// Taking the head on unlimited pools instead of the EDD order
-		// leaves every start time, so the candidate's starts, unchanged.
-		allEDD := newEDD(make([]bool, k))
-		runKeyedPair(t, c.name+"/EDD-everywhere", c.g, cfg, allEDD, newEDD(make([]bool, k)))
-		if !slices.Equal(edd.starts, allEDD.starts) {
-			t.Fatalf("%s: head picks on unlimited pools moved the candidate's starts", c.name)
-		}
-		var want []taskStart
-		for _, ev := range res.Trace {
-			if ev.Kind == sim.EventStart && ev.Type == candidate {
-				want = append(want, taskStart{t: ev.Time, id: ev.Task})
-			}
-		}
-		if len(edd.starts) != len(want) {
-			t.Fatalf("%s: recorded %d candidate starts, trace has %d", c.name, len(edd.starts), len(want))
-		}
-		for i := range want {
-			if edd.starts[i] != want[i] {
-				t.Fatalf("%s: candidate start %d: recorded %+v, trace %+v", c.name, i, edd.starts[i], want[i])
-			}
+// eddRef is the reference policy for ShiftBT's relaxations, run
+// through the engine: fixed types dispatch by their frozen rank, every
+// other type earliest due date first, ties to the earliest ready.
+type eddRef struct {
+	rank  []int32
+	fixed []bool
+}
+
+func (*eddRef) Name() string { return "EDD-reference" }
+
+func (*eddRef) Prepare(*dag.Graph, sim.Config) error { return nil }
+
+func (r *eddRef) Pick(st *sim.State, alpha dag.Type) (dag.TaskID, bool) {
+	g := st.Graph()
+	if r.fixed[alpha] {
+		return pickMin(st, alpha, func(id dag.TaskID) float64 { return float64(r.rank[id]) })
+	}
+	return pickMin(st, alpha, func(id dag.TaskID) float64 { return float64(g.Span() - g.TaskSpan(id)) })
+}
+
+// referenceRelax computes candidate's relaxation with eddRef on the
+// engine: the candidate and the fixed types keep procs, and every
+// other type gets one processor per task. It returns the candidate's
+// maximum lateness and its starts from the trace, by (time, ID).
+func referenceRelax(t *testing.T, g *dag.Graph, procs []int, rank []int32, fixed []bool, candidate dag.Type) (int64, []dag.TaskID) {
+	t.Helper()
+	relaxed := slices.Clone(procs)
+	for a, c := range g.TypeCount() {
+		if !fixed[a] && dag.Type(a) != candidate {
+			relaxed[a] = max(c, 1)
 		}
 	}
+	res, err := sim.Run(g, &eddRef{rank: rank, fixed: fixed}, sim.Config{Procs: relaxed, CollectTrace: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var starts []sim.Event
+	for _, ev := range res.Trace {
+		if ev.Kind == sim.EventStart && ev.Type == candidate {
+			starts = append(starts, ev)
+		}
+	}
+	slices.SortFunc(starts, func(x, y sim.Event) int {
+		return cmp.Or(cmp.Compare(x.Time, y.Time), cmp.Compare(x.Task, y.Task))
+	})
+	lateness := int64(math.MinInt64)
+	order := make([]dag.TaskID, len(starts))
+	for i, ev := range starts {
+		lateness = max(lateness, ev.Time-(g.Span()-g.TaskSpan(ev.Task)))
+		order[i] = ev.Task
+	}
+	return lateness, order
+}
+
+// checkRelaxations replays ShiftBT's rounds on g, computing every
+// relaxation twice, by the kernel and by referenceRelax, and fails
+// unless each (lateness, order) pair agrees and the kernel leaves its
+// queue empty. Each round freezes the reference's bottleneck, and the
+// ranks the rounds end with must be Prepare's. It returns the number of
+// relaxations compared.
+func checkRelaxations(t *testing.T, name string, g *dag.Graph, procs []int) int {
+	t.Helper()
+	sb := NewShiftBT()
+	if err := sb.Prepare(g, sim.Config{Procs: procs}); err != nil {
+		t.Fatalf("%s: %v", name, err)
+	}
+	if g.NumTasks() == 0 {
+		return 0
+	}
+	want := slices.Clone(sb.rank)
+	// Prepare left sb sized for g. An unfixed type's rank is -1, so a
+	// relaxation that reads one fails.
+	for i := range sb.rank {
+		sb.rank[i] = -1
+	}
+	for a, c := range g.TypeCount() {
+		sb.fixed[a] = c == 0
+	}
+	compared := 0
+	for {
+		bestType := -1
+		var bestLateness int64
+		var bestOrder []dag.TaskID
+		for a := 0; a < g.K(); a++ {
+			if sb.fixed[a] {
+				continue
+			}
+			candidate := dag.Type(a)
+			wantLateness, wantOrder := referenceRelax(t, g, procs, sb.rank, slices.Clone(sb.fixed), candidate)
+			lateness := sb.relax(g, procs, candidate)
+			if lateness != wantLateness || !slices.Equal(sb.order, wantOrder) {
+				t.Fatalf("%s: relaxation %d (candidate %d, fixed %v): kernel lateness %d order %v, reference %d %v",
+					name, compared, candidate, sb.fixed, lateness, sb.order, wantLateness, wantOrder)
+			}
+			for b := 0; b < g.K(); b++ {
+				if id, ok := sb.q.pop(dag.Type(b)); ok {
+					t.Fatalf("%s: relaxation %d left task %d queued", name, compared, id)
+				}
+			}
+			compared++
+			if bestType < 0 || wantLateness > bestLateness {
+				bestType, bestLateness, bestOrder = a, wantLateness, wantOrder
+			}
+		}
+		if bestType < 0 {
+			break
+		}
+		for pos, id := range bestOrder {
+			sb.rank[id] = int32(pos)
+		}
+		sb.fixed[bestType] = true
+	}
+	if !slices.Equal(sb.rank, want) {
+		t.Fatalf("%s: reference rounds rank %v, Prepare %v", name, sb.rank, want)
+	}
+	return compared
+}
+
+// tiedSpanJob has four unit-work leaves of type 1, all with span 1, so
+// they share one EDD slot. Both roots finish at 2, and the engine
+// readies the leaves as it retires the roots in ID order, each in its
+// Children order: 4, 5, 2, 3. The candidate's starts follow that order,
+// not the IDs.
+func tiedSpanJob() *dag.Graph {
+	b := dag.NewBuilder(2)
+	r0, r1 := b.AddTask(0, 2), b.AddTask(0, 2)
+	x, y, z, w := b.AddTask(1, 1), b.AddTask(1, 1), b.AddTask(1, 1), b.AddTask(1, 1)
+	b.AddEdge(r0, z)
+	b.AddEdge(r0, y)
+	b.AddEdge(r1, w)
+	b.AddEdge(r1, x)
+	b.AddEdge(r1, y)
+	return b.MustBuild()
+}
+
+// emptyTypeJob is a K=3 job without type-1 tasks.
+func emptyTypeJob() *dag.Graph {
+	b := dag.NewBuilder(3)
+	x, y := b.AddTask(0, 2), b.AddTask(2, 3)
+	b.AddEdge(x, y)
+	b.AddTask(2, 1)
+	return b.MustBuild()
+}
+
+// TestKeyedEDDRelaxationEquivalence checks every relaxation ShiftBT's
+// Prepare runs against the engine reference: the keyed cases of every
+// workload class, a K=1 job, a job with a type without tasks and a job
+// whose tied spans are readied out of ID order.
+func TestKeyedEDDRelaxationEquivalence(t *testing.T) {
+	rng := rand.New(rand.NewSource(37))
+	single, err := workload.Generate(workload.Default(workload.IR, 1, workload.Random), rng)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cases := append(drawKeyedCases(t, 29, nil),
+		keyedCase{name: "K=1", g: single, procs: []int{3}},
+		keyedCase{name: "empty type", g: emptyTypeJob(), procs: []int{1, 1, 1}},
+		keyedCase{name: "tied spans", g: tiedSpanJob(), procs: []int{1, 1}},
+		keyedCase{name: "tied spans, two processors", g: tiedSpanJob(), procs: []int{2, 2}})
+	compared := 0
+	for _, c := range cases {
+		compared += checkRelaxations(t, c.name, c.g, c.procs)
+	}
+	t.Logf("%d relaxations compared over %d jobs", compared, len(cases))
+}
+
+// TestShiftBTRelaxationStartOrder pins the tied-span job's first
+// relaxation, candidate type 1 on one processor, to the engine's
+// readiness order.
+func TestShiftBTRelaxationStartOrder(t *testing.T) {
+	g := tiedSpanJob()
+	sb := NewShiftBT()
+	if err := sb.Prepare(g, sim.Config{Procs: []int{1, 1}}); err != nil {
+		t.Fatal(err)
+	}
+	sb.fixed[0], sb.fixed[1] = false, false
+	if l := sb.relax(g, []int{1, 1}, 1); l != 3 || !slices.Equal(sb.order, []dag.TaskID{4, 5, 2, 3}) {
+		t.Fatalf("lateness %d, order %v; want 3, [4 5 2 3]", l, sb.order)
+	}
+}
+
+// TestShiftBTRejectsBadPools: Prepare reports a pool list of the wrong
+// length and a pool without processors instead of simulating them.
+func TestShiftBTRejectsBadPools(t *testing.T) {
+	g := tiedSpanJob()
+	for _, procs := range [][]int{nil, {1}, {1, 1, 1}, {1, 0}, {-2, 1}} {
+		if err := NewShiftBT().Prepare(g, sim.Config{Procs: procs}); err == nil {
+			t.Errorf("Procs %v: Prepare succeeded", procs)
+		}
+	}
+}
+
+// FuzzShiftBTRelaxation checks every relaxation of a random small job
+// against the engine reference, as TestKeyedEDDRelaxationEquivalence
+// does. Tasks get a random topological order and edges a random
+// insertion order, so Children order and IDs disagree; small work
+// makes finishing instants and spans tie.
+func FuzzShiftBTRelaxation(f *testing.F) {
+	f.Add(int64(1), uint8(2), uint8(1))
+	f.Add(int64(2), uint8(3), uint8(2))
+	f.Add(int64(3), uint8(1), uint8(3))
+	f.Add(int64(4), uint8(5), uint8(9))
+	f.Fuzz(func(t *testing.T, seed int64, kMax, workMax uint8) {
+		rng := rand.New(rand.NewSource(seed))
+		k := 1 + int(kMax)%6
+		n := rng.Intn(40)
+		b := dag.NewBuilder(k)
+		for i := 0; i < n; i++ {
+			b.AddTask(dag.Type(rng.Intn(k)), 1+rng.Int63n(int64(workMax)%8+1))
+		}
+		topo := rng.Perm(n)
+		var edges [][2]dag.TaskID
+		p := rng.Float64() * 0.3
+		for i := 0; i < n; i++ {
+			for j := i + 1; j < n; j++ {
+				if rng.Float64() < p {
+					edges = append(edges, [2]dag.TaskID{dag.TaskID(topo[i]), dag.TaskID(topo[j])})
+				}
+			}
+		}
+		rng.Shuffle(len(edges), func(i, j int) { edges[i], edges[j] = edges[j], edges[i] })
+		for _, e := range edges {
+			b.AddEdge(e[0], e[1])
+		}
+		procs := make([]int, k)
+		for a := range procs {
+			procs[a] = 1 + rng.Intn(3)
+		}
+		checkRelaxations(t, "fuzz", b.MustBuild(), procs)
+	})
 }
 
 // TestShiftBTRanksEveryTask: Prepare freezes an order for every type
 // with tasks, so each type's ranks are exactly 0..|α-tasks|−1 and Pick
 // never meets an unranked task. One job leaves a type without tasks.
 func TestShiftBTRanksEveryTask(t *testing.T) {
-	b := dag.NewBuilder(3)
-	x, y := b.AddTask(0, 2), b.AddTask(2, 3)
-	b.AddEdge(x, y)
-	b.AddTask(2, 1)
-	cases := append(drawKeyedCases(t, 31, nil), keyedCase{name: "empty type", g: b.MustBuild(), procs: []int{1, 1, 1}})
+	cases := append(drawKeyedCases(t, 31, nil), keyedCase{name: "empty type", g: emptyTypeJob(), procs: []int{1, 1, 1}})
 	sb := NewShiftBT() // reused, so stale ranks from the last job would show
 	for _, c := range cases {
 		if err := sb.Prepare(c.g, sim.Config{Procs: c.procs}); err != nil {

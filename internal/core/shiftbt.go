@@ -1,7 +1,6 @@
 package core
 
 import (
-	"cmp"
 	"fmt"
 	"math"
 	"slices"
@@ -31,16 +30,20 @@ import (
 type ShiftBT struct {
 	rank  []int32        // per task: its place in its type's frozen start order
 	spans ranking[int64] // span ranks, longest first: the EDD order
-	q     rankQueue
-	edd   eddSched // relaxation policy, reused across relaxations
+	// q answers Pick. The relaxations queue through it too, and each
+	// leaves it empty.
+	q rankQueue
 
-	// run simulates the relaxations. It cannot be the caller's Runner:
-	// Prepare runs inside the caller's Run.
-	run sim.Runner
+	// Relaxation state, reused across relaxations and jobs.
+	fixed  []bool // per type: its order is frozen
+	busy   []int  // per type: processors running a task
+	tasks  []relaxTask
+	events sim.RadixHeap // constrained tasks' ready times (id) and pool frees (^type)
+	stack  []dag.TaskID
+	ready  []int64 // triggers of the tasks ready at one instant
 	// order is the latest relaxation's candidate start order and best
 	// the round's best so far; the two swap instead of reallocating.
 	order, best []dag.TaskID
-	procs       []int
 }
 
 // NewShiftBT returns the shifting-bottleneck scheduler.
@@ -52,8 +55,15 @@ func (*ShiftBT) Name() string { return "ShiftBT" }
 // Prepare implements sim.Scheduler by running the shifting-bottleneck
 // procedure described on the type above.
 func (s *ShiftBT) Prepare(g *dag.Graph, cfg sim.Config) error {
-	n := g.NumTasks()
-	k := g.K()
+	n, k := g.NumTasks(), g.K()
+	if len(cfg.Procs) != k {
+		return fmt.Errorf("core: ShiftBT: config has %d processor pools, job has K=%d", len(cfg.Procs), k)
+	}
+	for a, p := range cfg.Procs {
+		if p <= 0 {
+			return fmt.Errorf("core: ShiftBT: pool %d has %d processors, want > 0", a, p)
+		}
+	}
 	s.q.reset(g, 1)
 	s.rank = grow(s.rank, n)
 	if n == 0 {
@@ -62,37 +72,24 @@ func (s *ShiftBT) Prepare(g *dag.Graph, cfg sim.Config) error {
 	// due = T∞ − span, so the EDD order is the longest-span-first one.
 	s.spans.compute(g, true, g.TaskSpan)
 
-	typeCount := g.TypeCount()
-	s.edd.rank, s.edd.dueRank = s.rank, s.spans.rank
-	s.edd.fixed, s.edd.unlimited = grow(s.edd.fixed, k), grow(s.edd.unlimited, k)
+	s.fixed, s.busy = grow(s.fixed, k), grow(s.busy, k)
+	s.tasks = grow(s.tasks, n)
 	nUnfixed := 0
-	for a := 0; a < k; a++ {
+	for a, c := range g.TypeCount() {
 		// A type without tasks counts as fixed: it has nothing to order.
-		s.edd.fixed[a] = typeCount[a] == 0
-		if !s.edd.fixed[a] {
+		s.fixed[a] = c == 0
+		if !s.fixed[a] {
 			nUnfixed++
 		}
 	}
-	s.procs = grow(s.procs, k)
-
-	for nUnfixed > 0 {
+	for ; nUnfixed > 0; nUnfixed-- {
 		bestType := -1
 		var bestLateness int64
 		for a := 0; a < k; a++ {
-			if s.edd.fixed[a] {
+			if s.fixed[a] {
 				continue
 			}
-			for b := 0; b < k; b++ {
-				s.edd.unlimited[b] = b != a && !s.edd.fixed[b]
-				s.procs[b] = cfg.Procs[b]
-				if s.edd.unlimited[b] {
-					s.procs[b] = max(typeCount[b], 1)
-				}
-			}
-			lateness, err := s.relax(g, s.procs, dag.Type(a))
-			if err != nil {
-				return fmt.Errorf("core: ShiftBT relaxation for type %d: %w", a, err)
-			}
+			lateness := s.relax(g, cfg.Procs, dag.Type(a))
 			if bestType < 0 || lateness > bestLateness {
 				bestType, bestLateness = a, lateness
 				s.order, s.best = s.best, s.order
@@ -103,94 +100,142 @@ func (s *ShiftBT) Prepare(g *dag.Graph, cfg sim.Config) error {
 		for pos, id := range s.best {
 			s.rank[id] = int32(pos)
 		}
-		s.edd.fixed[bestType] = true
-		nUnfixed--
+		s.fixed[bestType] = true
 	}
 	return nil
 }
 
-// relax computes the EDD relaxation for candidate type on procs: the
-// candidate and already-fixed types keep their configured pool sizes;
-// every other unfixed type gets one processor per task (effectively
-// unlimited). It leaves the candidate's task start order in s.order
-// and returns its maximum lateness max(start − due).
-func (s *ShiftBT) relax(g *dag.Graph, procs []int, candidate dag.Type) (int64, error) {
-	s.edd.candidate, s.edd.starts = candidate, s.edd.starts[:0]
-	if _, err := s.run.Run(g, &s.edd, sim.Config{Procs: procs}); err != nil {
-		return 0, err
+// relax computes the EDD relaxation for candidate on procs: the
+// candidate and the fixed types keep their pools, and every other type
+// is unlimited. It leaves the candidate's start order, by (start, ID),
+// in s.order and returns its maximum lateness max(start − due).
+//
+// It schedules as the non-preemptive engine would, without running
+// it. An unlimited task starts once its parents have finished, so
+// release settles it then and it never waits. The other tasks wait in
+// s.q, in the order the engine's ReadySeq gives them: roots first, in
+// Roots order, then by (ready time, trigger). Each pick takes the
+// lowest slot: the frozen rank on a fixed type, the span rank on the
+// candidate.
+func (s *ShiftBT) relax(g *dag.Graph, procs []int, candidate dag.Type) int64 {
+	clear(s.busy)
+	for i := range s.tasks {
+		t := g.Task(dag.TaskID(i))
+		s.tasks[i] = relaxTask{work: t.Work, pending: int32(g.NumParents(t.ID)), free: t.Type != candidate && !s.fixed[t.Type]}
 	}
-	starts := s.edd.starts
-	lateness := int64(math.MinInt64)
-	for _, ts := range starts {
-		if l := ts.t - (g.Span() - g.TaskSpan(ts.id)); l > lateness {
-			lateness = l
-		}
-	}
-	// Starts are recorded at non-decreasing times, so the (time, ID)
-	// order only needs each same-instant run sorted by ID.
+	s.events.Reset()
 	s.order = s.order[:0]
-	for i := 0; i < len(starts); {
-		j := i + 1
-		for j < len(starts) && starts[j].t == starts[i].t {
-			j++
+	for _, r := range g.Roots() {
+		if s.tasks[r].free {
+			s.release(g, r)
+		} else {
+			s.enqueue(g, r)
 		}
-		slices.SortFunc(starts[i:j], func(a, b taskStart) int { return cmp.Compare(a.id, b.id) })
-		for _, ts := range starts[i:j] {
-			s.order = append(s.order, ts.id)
-		}
-		i = j
 	}
-	return lateness, nil
+	span := g.Span()
+	lateness := int64(math.MinInt64)
+	for now := int64(0); ; {
+		for a := 0; a < g.K(); a++ {
+			alpha := dag.Type(a)
+			if alpha != candidate && !s.fixed[a] {
+				continue // unlimited
+			}
+			from := len(s.order)
+			for s.busy[a] < procs[a] {
+				id, ok := s.q.pop(alpha)
+				if !ok {
+					break
+				}
+				s.busy[a]++
+				s.tasks[id].at = now
+				s.events.Push(now+s.tasks[id].work, ^dag.TaskID(a))
+				s.release(g, id)
+				if alpha == candidate {
+					lateness = max(lateness, now-(span-g.TaskSpan(id)))
+					s.order = append(s.order, id)
+				}
+			}
+			if alpha == candidate {
+				slices.Sort(s.order[from:])
+			}
+		}
+		t, ok := s.events.Min()
+		if !ok {
+			return lateness
+		}
+		now = t
+		s.ready = s.ready[:0]
+		for _, e := range s.events.PopAt(t) {
+			if e < 0 {
+				s.busy[^e]--
+			} else {
+				s.ready = append(s.ready, s.tasks[e].trigger)
+			}
+		}
+		slices.Sort(s.ready)
+		for _, trig := range s.ready {
+			s.enqueue(g, g.Children(dag.TaskID(trig >> 32))[uint32(trig)])
+		}
+	}
+}
+
+// enqueue queues a constrained task that is ready now, behind every
+// task that became ready before it.
+func (s *ShiftBT) enqueue(g *dag.Graph, id dag.TaskID) {
+	alpha := g.Task(id).Type
+	slot := s.spans.rank[id]
+	if s.fixed[alpha] {
+		slot = s.rank[id]
+	}
+	s.q.append(alpha, int(slot), id)
+}
+
+// release passes the finish of id, which has started, to its children.
+// A child whose parents have all finished is ready at the latest of
+// their finishes. An unlimited child starts then, so it is released in
+// turn; a constrained one becomes a ready event.
+func (s *ShiftBT) release(g *dag.Graph, id dag.TaskID) {
+	stack := append(s.stack[:0], id)
+	for len(stack) > 0 {
+		p := stack[len(stack)-1]
+		stack = stack[:len(stack)-1]
+		f := s.tasks[p].at + s.tasks[p].work
+		for i, c := range g.Children(p) {
+			// The engine retires a finishing instant's tasks in ID
+			// order, so it readies c from the highest-ID parent
+			// finishing last, in that parent's Children order.
+			t := &s.tasks[c]
+			if trig := int64(p)<<32 | int64(i); f > t.at || f == t.at && trig > t.trigger {
+				t.at, t.trigger = f, trig
+			}
+			t.pending--
+			if t.pending > 0 {
+				continue
+			}
+			if t.free {
+				stack = append(stack, c)
+			} else {
+				s.events.Push(t.at, c)
+			}
+		}
+	}
+	s.stack = stack
+}
+
+// relaxTask is one task's state in a relaxation.
+type relaxTask struct {
+	// at is the task's start once it has started, and before that the
+	// latest finish among its parents so far.
+	at int64
+	// trigger names the parent the engine readies the task from:
+	// parent<<32 | the task's index in that parent's Children.
+	trigger int64
+	work    int64
+	pending int32 // parents not yet finished
+	free    bool  // on an unlimited pool
 }
 
 // Pick implements sim.Scheduler: dispatch in frozen bottleneck order.
 func (s *ShiftBT) Pick(st *sim.State, alpha dag.Type) (dag.TaskID, bool) {
 	return s.q.pick(st, alpha, func(id dag.TaskID) (int32, int64) { return s.rank[id], 0 })
-}
-
-// eddSched is the inner policy of ShiftBT's relaxations: fixed types
-// dispatch in their frozen order, every other type earliest-due-date
-// first. On an unlimited pool every ready task starts at once, so the
-// order is immaterial and the queue head is taken. It records when
-// each candidate-type task is picked; the relaxation is non-preemptive
-// and fault-free, so a picked task starts at that instant.
-type eddSched struct {
-	rank      []int32 // per task: frozen position, read for fixed types
-	dueRank   []int32 // per task: due-date rank within its type
-	fixed     []bool  // per type: its order is frozen
-	unlimited []bool  // per type: one processor per task
-	candidate dag.Type
-	starts    []taskStart
-	q         rankQueue
-}
-
-// taskStart is one candidate-type start in a relaxation.
-type taskStart struct {
-	t  int64
-	id dag.TaskID
-}
-
-func (*eddSched) Name() string { return "ShiftBT/EDD-relaxation" }
-
-func (e *eddSched) Prepare(g *dag.Graph, _ sim.Config) error {
-	e.q.reset(g, 1)
-	return nil
-}
-
-func (e *eddSched) Pick(st *sim.State, alpha dag.Type) (dag.TaskID, bool) {
-	if e.unlimited[alpha] {
-		if q := st.Ready(alpha); len(q) > 0 {
-			return q[0], true
-		}
-		return dag.NoTask, false
-	}
-	ranks := e.dueRank
-	if e.fixed[alpha] {
-		ranks = e.rank
-	}
-	id, ok := e.q.pick(st, alpha, func(t dag.TaskID) (int32, int64) { return ranks[t], 0 })
-	if ok && alpha == e.candidate {
-		e.starts = append(e.starts, taskStart{t: st.Now(), id: id})
-	}
-	return id, ok
 }

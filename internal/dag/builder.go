@@ -69,13 +69,11 @@ func (b *Builder) Build() (*Graph, error) {
 			return nil, fmt.Errorf("dag: task %d has non-positive work %d", i, t.Work)
 		}
 	}
-	g := &Graph{
-		k:        b.k,
-		tasks:    b.tasks,
-		children: make([][]TaskID, n),
-		parents:  make([][]TaskID, n),
-	}
+	// Filter duplicates and count degrees, then cut both directions'
+	// lists out of one buffer, each in edge-insertion order.
 	seen := make(map[[2]TaskID]bool, len(b.edges))
+	edges := b.edges[:0]
+	deg := make([]int32, 2*n) // out-degrees, then in-degrees
 	for _, e := range b.edges {
 		from, to := e[0], e[1]
 		if from < 0 || int(from) >= n || to < 0 || int(to) >= n {
@@ -88,8 +86,29 @@ func (b *Builder) Build() (*Graph, error) {
 			continue // tolerate duplicate edges; keep the graph simple
 		}
 		seen[e] = true
-		g.children[from] = append(g.children[from], to)
-		g.parents[to] = append(g.parents[to], from)
+		edges = append(edges, e)
+		deg[from]++
+		deg[n+int(to)]++
+	}
+	g := &Graph{
+		k:        b.k,
+		tasks:    b.tasks,
+		children: make([][]TaskID, n),
+		parents:  make([][]TaskID, n),
+	}
+	buf := make([]TaskID, 2*len(edges))
+	off := 0
+	for i := 0; i < n; i++ {
+		g.children[i] = buf[off : off : off+int(deg[i])]
+		off += int(deg[i])
+	}
+	for i := 0; i < n; i++ {
+		g.parents[i] = buf[off : off : off+int(deg[n+i])]
+		off += int(deg[n+i])
+	}
+	for _, e := range edges {
+		g.children[e[0]] = append(g.children[e[0]], e[1])
+		g.parents[e[1]] = append(g.parents[e[1]], e[0])
 	}
 	if err := g.computeTopo(); err != nil {
 		return nil, err
@@ -142,10 +161,13 @@ func (g *Graph) computeTopo() error {
 	return nil
 }
 
-// computeAggregates fills the per-type work totals and span data.
+// computeAggregates fills the per-type task counts and work totals
+// and the span data.
 func (g *Graph) computeAggregates() {
+	g.typeCount = make([]int, g.k)
 	g.typedWork = make([]int64, g.k)
 	for i := range g.tasks {
+		g.typeCount[g.tasks[i].Type]++
 		g.typedWork[g.tasks[i].Type] += g.tasks[i].Work
 		g.totalWork += g.tasks[i].Work
 	}

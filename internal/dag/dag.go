@@ -43,6 +43,7 @@ type Graph struct {
 	topo     []TaskID // a topological order of all tasks
 	roots    []TaskID // tasks with no parents, in ID order
 
+	typeCount []int   // tasks per type
 	typedWork []int64 // total work per type: T1(J, α)
 	totalWork int64   // T1(J)
 	spans     []int64 // per-task remaining span (task work + longest chain below)
@@ -99,13 +100,9 @@ func (g *Graph) Span() int64 { return g.span }
 func (g *Graph) TaskSpan(id TaskID) int64 { return g.spans[id] }
 
 // TypeCount returns how many tasks of each type the graph contains.
-func (g *Graph) TypeCount() []int {
-	counts := make([]int, g.k)
-	for i := range g.tasks {
-		counts[g.tasks[i].Type]++
-	}
-	return counts
-}
+// The slice is shared, computed once at Build; callers must not modify
+// it.
+func (g *Graph) TypeCount() []int { return g.typeCount }
 
 // Validate re-checks the structural invariants of the graph. A Graph
 // produced by Builder.Build always validates; the method exists so that

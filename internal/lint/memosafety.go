@@ -5,12 +5,13 @@ import (
 	"go/types"
 )
 
-// Memosafety protects the per-graph memoized lookahead slices that
-// internal/dag hands out through its Shared* accessors. Those slices
-// are computed once under sync.Once and then read concurrently by
-// every scheduler working the same graph (six per instance in the main
-// figures); a single in-place mutation silently corrupts the lookahead
-// data of every other scheduler and every later run on that graph.
+// Memosafety protects the per-graph memoized slices that internal/dag
+// hands out through its Shared* accessors and TypeCount. Those slices
+// are computed once (under sync.Once, or at Build) and then read
+// concurrently by every scheduler working the same graph (six per
+// instance in the main figures); a single in-place mutation silently
+// corrupts the data of every other scheduler and every later run on
+// that graph.
 //
 // The analyzer taints values obtained from a memoized accessor
 // (directly, through an alias, or by indexing a shared 2-D slice) and
@@ -22,7 +23,7 @@ import (
 var Memosafety = &Analyzer{
 	Name: "memosafety",
 	Doc: "forbid mutation (element writes, in-place sorts, append reuse) of slices obtained " +
-		"from dag.Graph's memoized Shared* accessors; copy before perturbing",
+		"from dag.Graph's memoized Shared* accessors and TypeCount; copy before perturbing",
 	Run: runMemosafety,
 }
 
@@ -37,6 +38,7 @@ var memoAccessors = map[string]bool{
 	"SharedDifferentTypeDistances":        true,
 	"SharedTypedDescendantClasses":        true,
 	"SharedOneStepTypedDescendantClasses": true,
+	"TypeCount":                           true,
 }
 
 func runMemosafety(pass *Pass) error {

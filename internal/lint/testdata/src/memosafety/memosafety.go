@@ -13,6 +13,7 @@ func (g *Graph) SharedDescendantValues() []float64        { return nil }
 func (g *Graph) SharedTypedDescendantValues() [][]float64 { return nil }
 func (g *Graph) SharedDifferentTypeDistances() []int32    { return nil }
 func (g *Graph) SharedTypedDescendantClasses() []int32    { return nil }
+func (g *Graph) TypeCount() []int                         { return nil }
 
 func mutateDirect(g *Graph) {
 	d := g.SharedDescendantValues()
@@ -39,6 +40,12 @@ func mutateClasses(g *Graph) {
 	class := g.SharedTypedDescendantClasses()
 	class[0] = 1         // want `write into shared memoized slice from SharedTypedDescendantClasses`
 	_ = append(class, 2) // want `append reusing shared memoized slice`
+}
+
+func mutateCounts(g *Graph) {
+	counts := g.TypeCount()
+	counts[0]--           // want `write into shared memoized slice from TypeCount`
+	_ = append(counts, 1) // want `append reusing shared memoized slice`
 }
 
 func mutateUnbound(g *Graph) {

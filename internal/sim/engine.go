@@ -26,13 +26,13 @@ func Run(g *dag.Graph, s Scheduler, cfg Config) (Result, error) {
 // each other. The zero value is ready to use.
 //
 // A Runner is not safe for concurrent use, and it is not reentrant: a
-// scheduler whose Prepare simulates (ShiftBT's relaxations) needs a
-// Runner of its own, since Prepare runs inside the caller's Run.
+// scheduler whose Prepare simulates needs a Runner of its own, since
+// Prepare runs inside the caller's Run.
 type Runner struct {
 	cfg     Config
 	st      State
 	active  bool
-	running runQueue
+	running RadixHeap
 	runBusy []int
 
 	assigned []dag.TaskID
@@ -108,7 +108,7 @@ func (r *Runner) runNonPreemptive(g *dag.Graph, s Scheduler) (Result, error) {
 	clear(runBusy)
 	r.runBusy = runBusy
 	running := &r.running
-	running.reset()
+	running.Reset()
 
 	n := g.NumTasks()
 	for st.nCompleted < n {
@@ -129,7 +129,7 @@ func (r *Runner) runNonPreemptive(g *dag.Graph, s Scheduler) (Result, error) {
 				runBusy[a]++
 				res.Decisions++
 				mets.started.Inc()
-				running.push(runEntry{finish: st.now + st.remaining[id], start: st.now, id: id})
+				running.Push(st.now+st.remaining[id], id)
 				if cfg.CollectTrace {
 					res.Trace = append(res.Trace, Event{Time: st.now, Task: id, Type: alpha, Kind: EventStart})
 				}
@@ -146,7 +146,7 @@ func (r *Runner) runNonPreemptive(g *dag.Graph, s Scheduler) (Result, error) {
 		// running, a pending breakpoint still counts — crashed pools may
 		// recover and unblock the schedule.
 		next := int64(-1)
-		if t, ok := running.next(); ok {
+		if t, ok := running.Min(); ok {
 			next = t
 		}
 		nextChange := int64(-1)
@@ -168,11 +168,14 @@ func (r *Runner) runNonPreemptive(g *dag.Graph, s Scheduler) (Result, error) {
 		}
 		t := next
 		st.now = t
-		// Completion phase: retire every task finishing at this instant.
-		// A completion may fail transiently (the seeded coin), in which
-		// case the whole execution is wasted and the task re-enters its
-		// ready queue with full work.
-		for _, id := range running.popDue(t) {
+		// Completion phase: retire every task finishing at this instant,
+		// in ID order, the order a (finish, ID) binary heap would pop
+		// them in. A completion may fail transiently (the seeded coin),
+		// in which case the whole execution is wasted and the task
+		// re-enters its ready queue with full work.
+		due := running.PopAt(t)
+		slices.Sort(due)
+		for _, id := range due {
 			alpha := g.Task(id).Type
 			work := st.remaining[id]
 			res.BusyTime[alpha] += work
@@ -218,8 +221,9 @@ func (r *Runner) runNonPreemptive(g *dag.Graph, s Scheduler) (Result, error) {
 					tr.Emit(obs.TypeEv(obs.KindCapacity, t, int64(a), int64(st.cap[a]), 0))
 				}
 				for runBusy[a] > st.cap[a] {
-					rt := running.removeVictim(g, alpha)
-					elapsed := t - rt.start
+					// A running task's remaining work is its whole run.
+					finish, id := running.removeVictim(g, alpha)
+					elapsed := t - (finish - st.remaining[id])
 					res.BusyTime[alpha] += elapsed
 					res.WastedWork[alpha] += elapsed
 					res.Kills++
@@ -227,14 +231,14 @@ func (r *Runner) runNonPreemptive(g *dag.Graph, s Scheduler) (Result, error) {
 					mets.busy.Add(elapsed)
 					mets.wasted.Add(elapsed)
 					runBusy[a]--
-					if err := st.retry(rt.id); err != nil {
+					if err := st.retry(id); err != nil {
 						return res, err
 					}
 					if cfg.CollectTrace {
-						res.Trace = append(res.Trace, Event{Time: t, Task: rt.id, Type: alpha, Kind: EventKill})
+						res.Trace = append(res.Trace, Event{Time: t, Task: id, Type: alpha, Kind: EventKill})
 					}
 					if tr.Enabled() {
-						tr.Emit(obs.TaskEv(obs.KindKill, t, int64(rt.id), int64(alpha)))
+						tr.Emit(obs.TaskEv(obs.KindKill, t, int64(id), int64(alpha)))
 					}
 				}
 			}

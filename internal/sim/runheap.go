@@ -9,7 +9,7 @@ type HeapElem[T any] interface{ Less(T) bool }
 
 // Heap is a concrete min-heap on a slice of self-ordering elements.
 // It backs the service's run queue; the non-preemptive engine keeps
-// its running tasks in a runQueue instead (runqueue.go), and core's
+// its running tasks in a RadixHeap instead (runqueue.go), and core's
 // keyed schedulers pick from rank queues. Heap replicates container/heap's
 // sift algorithms on the concrete element type: going through
 // heap.Interface boxes every entry into an interface value, one

@@ -12,7 +12,7 @@ import (
 )
 
 // heapTask is the binary-heap entry the non-preemptive engine kept its
-// running tasks in before runQueue: earliest finish first, ties to the
+// running tasks in before RadixHeap: earliest finish first, ties to the
 // lowest task ID. It is kept here as the reference the radix heap must
 // agree with.
 type heapTask struct {
@@ -192,9 +192,10 @@ func TestRunQueueMatchesHeap(t *testing.T) {
 	}
 }
 
-// FuzzRunQueue drives runQueue and the reference heap with the same
-// pushes, peeks, kills and retirements at monotone times, as the
-// engine issues them, and requires the same answers.
+// FuzzRunQueue drives the engine's RadixHeap and the reference heap
+// with the same pushes, peeks, kills and retirements at monotone
+// times, as the engine issues them, and requires the same answers.
+// The engine sorts each retired set by ID, and so does the check.
 func FuzzRunQueue(f *testing.F) {
 	f.Add([]byte{0, 1, 0, 2, 1, 2, 3, 2})
 	f.Add([]byte{0, 255, 0, 40, 0, 40, 2, 3, 1, 2, 2})
@@ -207,11 +208,16 @@ func FuzzRunQueue(f *testing.F) {
 		}
 		g := b.MustBuild()
 		var (
-			q    runQueue
+			q    RadixHeap
 			ref  Heap[heapTask]
 			now  int64
 			next dag.TaskID
 		)
+		popSorted := func(now int64) []dag.TaskID {
+			due := q.PopAt(now)
+			slices.Sort(due)
+			return due
+		}
 		byte1 := func(i *int) int64 {
 			*i++
 			if *i < len(ops) {
@@ -229,7 +235,7 @@ func FuzzRunQueue(f *testing.F) {
 				work := 1 + byte1(&i)<<(byte1(&i)%47)
 				e := heapTask{finish: now + work, start: now, id: next}
 				next++
-				q.push(runEntry(e))
+				q.Push(e.finish, e.id)
 				ref.Push(e)
 			case 1: // a capacity breakpoint, at or before the next finish
 				d := int64(255)
@@ -241,13 +247,13 @@ func FuzzRunQueue(f *testing.F) {
 				for len(ref) > 0 && ref[0].finish == now {
 					want = append(want, ref.Pop().id)
 				}
-				if got := q.popDue(now); !slices.Equal(got, want) {
-					t.Fatalf("t=%d: popDue = %v, heap pops %v", now, got, want)
+				if got := popSorted(now); !slices.Equal(got, want) {
+					t.Fatalf("t=%d: PopAt = %v, heap pops %v", now, got, want)
 				}
 			case 2: // peek, then retire what is due at the next finish
-				tq, ok := q.next()
+				tq, ok := q.Min()
 				if ok != (len(ref) > 0) || ok && tq != ref[0].finish {
-					t.Fatalf("next() = %d, %v; heap minimum %v", tq, ok, ref)
+					t.Fatalf("Min() = %d, %v; heap minimum %v", tq, ok, ref)
 				}
 				if !ok {
 					continue
@@ -257,8 +263,8 @@ func FuzzRunQueue(f *testing.F) {
 				for len(ref) > 0 && ref[0].finish == now {
 					want = append(want, ref.Pop().id)
 				}
-				if got := q.popDue(now); !slices.Equal(got, want) {
-					t.Fatalf("t=%d: popDue = %v, heap pops %v", now, got, want)
+				if got := popSorted(now); !slices.Equal(got, want) {
+					t.Fatalf("t=%d: PopAt = %v, heap pops %v", now, got, want)
 				}
 			case 3: // a crash kills one running task of a type
 				alpha := dag.Type(byte1(&i) % 2)
@@ -276,8 +282,8 @@ func FuzzRunQueue(f *testing.F) {
 					continue
 				}
 				want := ref.Remove(victim)
-				if got := q.removeVictim(g, alpha); heapTask(got) != want {
-					t.Fatalf("t=%d: removeVictim(%d) = %+v, heap %+v", now, alpha, got, want)
+				if finish, id := q.removeVictim(g, alpha); finish != want.finish || id != want.id {
+					t.Fatalf("t=%d: removeVictim(%d) = (%d, %d), heap %+v", now, alpha, finish, id, want)
 				}
 			}
 			if q.n != len(ref) {
