@@ -180,11 +180,7 @@ func serve(cfg service.Config, addr, walDir, fsyncName string, segBytes int64, s
 			return fmt.Errorf("wal replay: %w", err)
 		}
 		if n := len(recovered); n > 0 {
-			fp, err := service.Fingerprint(cfg.Obs.Events(), cfg.Metrics)
-			if err != nil {
-				return err
-			}
-			log.Printf("wal: replayed %d ops in %v; fingerprint %s", n, time.Since(start).Round(time.Millisecond), fp)
+			log.Printf("wal: replayed %d ops in %v", n, time.Since(start).Round(time.Millisecond))
 		}
 	}
 

@@ -73,6 +73,10 @@ func (q *rankQueue) reset(g *dag.Graph, perTask int) {
 	}
 }
 
+// clear empties every type's slots, keeping the layout reset gave
+// them.
+func (q *rankQueue) clear() { clear(q.bitBuf) }
+
 // pick removes and returns the ready alpha-task in the lowest slot,
 // the earliest-ready on a tie. slot gives a newly queued task's slot
 // and the key that orders it within the slot. ok is false on an empty

@@ -116,7 +116,9 @@ func (s *ShiftBT) Prepare(g *dag.Graph, cfg sim.Config) error {
 // s.q, in the order the engine's ReadySeq gives them: roots first, in
 // Roots order, then by (ready time, trigger). Each pick takes the
 // lowest slot: the frozen rank on a fixed type, the span rank on the
-// candidate.
+// candidate. Both outputs are final once the candidate's last task has
+// started, so the relaxation ends there, emptying s.q of the fixed
+// types' tasks still queued.
 func (s *ShiftBT) relax(g *dag.Graph, procs []int, candidate dag.Type) int64 {
 	clear(s.busy)
 	for i := range s.tasks {
@@ -133,6 +135,7 @@ func (s *ShiftBT) relax(g *dag.Graph, procs []int, candidate dag.Type) int64 {
 		}
 	}
 	span := g.Span()
+	total := g.TypeCount()[candidate]
 	lateness := int64(math.MinInt64)
 	for now := int64(0); ; {
 		for a := 0; a < g.K(); a++ {
@@ -157,6 +160,10 @@ func (s *ShiftBT) relax(g *dag.Graph, procs []int, candidate dag.Type) int64 {
 			}
 			if alpha == candidate {
 				slices.Sort(s.order[from:])
+				if len(s.order) == total {
+					s.q.clear()
+					return lateness
+				}
 			}
 		}
 		t, ok := s.events.Min()

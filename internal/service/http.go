@@ -12,6 +12,7 @@ import (
 	"sync/atomic"
 
 	"fhs/internal/obs"
+	"fhs/internal/service/wal"
 )
 
 // maxBodyBytes bounds request bodies; arrival ops are small.
@@ -24,6 +25,11 @@ var ErrDraining = errors.New("draining")
 // errRecovering marks a mutating request arriving before WAL recovery
 // finished.
 var errRecovering = errors.New("recovering")
+
+// errFailed marks a request arriving after a journal write or fsync
+// failed: the handler is fail-stopped until a restart recovers from
+// the log.
+var errFailed = errors.New("journal failed; restart to recover")
 
 // DecodeSubmitRequest parses a submit body strictly: unknown fields,
 // trailing garbage and shape violations are ErrBadRequest. Exported so
@@ -55,8 +61,12 @@ type advanceRequest struct {
 // single-owner; the handler's mutex is the ownership boundary, so
 // concurrent submitters observe a deterministic core state for any
 // fixed request order. With a journal attached, every mutating
-// operation is logged before it is applied (write-ahead), so a crash
-// at any instant recovers to the exact pre-crash state.
+// operation is written to the log before it is applied (write-ahead),
+// so a crash at any instant recovers to the exact pre-crash state.
+// Every response is computed under the mutex but written only after
+// the mutex is released and the journal prefix it reflects is durable,
+// so concurrent requests share fsyncs and no response shows an
+// operation a crash could undo.
 type Handler struct {
 	mu      sync.Mutex
 	core    *Core
@@ -65,6 +75,7 @@ type Handler struct {
 
 	ready    atomic.Bool // false until WAL recovery finishes
 	draining atomic.Bool // true once graceful shutdown began
+	failed   atomic.Bool // true once the journal failed: fail-stop
 }
 
 // HandlerOption configures NewHandler.
@@ -142,6 +153,9 @@ func (h *Handler) acceptMutation() error {
 	if !h.ready.Load() {
 		return errRecovering
 	}
+	if h.failed.Load() {
+		return errFailed
+	}
 	if h.draining.Load() {
 		return ErrDraining
 	}
@@ -154,6 +168,9 @@ func (h *Handler) readyz(w http.ResponseWriter, r *http.Request) {
 	case !h.ready.Load():
 		w.WriteHeader(http.StatusServiceUnavailable)
 		fmt.Fprintln(w, "recovering")
+	case h.failed.Load():
+		w.WriteHeader(http.StatusServiceUnavailable)
+		fmt.Fprintln(w, "failed")
 	case h.draining.Load():
 		w.WriteHeader(http.StatusServiceUnavailable)
 		fmt.Fprintln(w, "draining")
@@ -162,14 +179,71 @@ func (h *Handler) readyz(w http.ResponseWriter, r *http.Request) {
 	}
 }
 
-// record journals one operation ahead of applying it. Callers hold
-// h.mu. A journal append failure is a durability loss: the op must not
-// execute.
-func (h *Handler) record(r Rec) error {
+// commit is the journal prefix a response reflects. The response is
+// written only once that prefix is durable.
+type commit struct {
+	jn   *Journal // nil: nothing to wait for
+	mark int64
+}
+
+// applied returns the commit covering every operation applied so far.
+// Callers hold h.mu.
+func (h *Handler) applied() commit {
 	if h.journal == nil {
+		return commit{}
+	}
+	return commit{h.journal, h.journal.Mark()}
+}
+
+// record admits a mutating operation and writes it to the journal
+// ahead of applying it, returning the commit its response waits for.
+// Callers hold h.mu. On an error the op must not execute. An append
+// failure other than a malformed record fail-stops the handler: the
+// log may hold the op although the core never applies it. A log that
+// an earlier request's fsync fail-stopped refuses the op as errFailed,
+// even before that request has marked the handler failed.
+func (h *Handler) record(r Rec) (commit, error) {
+	if err := h.acceptMutation(); err != nil {
+		return commit{}, err
+	}
+	if h.journal == nil {
+		return commit{}, nil
+	}
+	mark, err := h.journal.Append(r)
+	if err != nil {
+		if errors.Is(err, ErrBadRequest) {
+			return commit{}, err
+		}
+		h.failed.Store(true)
+		if errors.Is(err, wal.ErrStopped) {
+			return commit{}, fmt.Errorf("%w: %v", errFailed, err)
+		}
+		return commit{}, err
+	}
+	return commit{h.journal, mark}, nil
+}
+
+// durable waits, without the handler lock, until c is durable. A
+// failed commit fail-stops the handler: the core holds operations the
+// log may have lost, so nothing it shows may be answered again.
+func (h *Handler) durable(c commit) error {
+	if c.jn == nil {
 		return nil
 	}
-	return h.journal.Record(r)
+	if err := c.jn.Commit(c.mark); err != nil {
+		h.failed.Store(true)
+		return err
+	}
+	return nil
+}
+
+// durableRead is durable for a read: after a failed commit it answers
+// errFailed (503) rather than the fsync error.
+func (h *Handler) durableRead(c commit) error {
+	if err := h.durable(c); err != nil {
+		return fmt.Errorf("%w: %v", errFailed, err)
+	}
+	return nil
 }
 
 // errorStatus maps core sentinel errors onto HTTP statuses.
@@ -187,7 +261,7 @@ func errorStatus(err error) int {
 		return http.StatusConflict
 	case errors.Is(err, ErrQuotaExceeded), errors.Is(err, ErrOverloaded):
 		return http.StatusTooManyRequests
-	case errors.Is(err, ErrDraining), errors.Is(err, errRecovering):
+	case errors.Is(err, ErrDraining), errors.Is(err, errRecovering), errors.Is(err, errFailed):
 		return http.StatusServiceUnavailable
 	default:
 		return http.StatusInternalServerError
@@ -231,23 +305,27 @@ func (h *Handler) submit(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	h.mu.Lock()
-	defer h.mu.Unlock()
-	if err := h.acceptMutation(); err != nil {
-		writeError(w, err)
+	c, err := h.record(Rec{Op: "submit", Submit: &req})
+	var st JobStatus
+	var retryAfter int64
+	if err == nil {
+		st, err = h.core.Submit(req)
+		if errors.Is(err, ErrOverloaded) {
+			retryAfter = h.core.RetryAfter()
+		}
+	}
+	h.mu.Unlock()
+	if cerr := h.durable(c); cerr != nil {
+		writeError(w, cerr)
 		return
 	}
-	if err := h.record(Rec{Op: "submit", Submit: &req}); err != nil {
-		writeError(w, err)
-		return
-	}
-	st, err := h.core.Submit(req)
 	switch {
 	case errors.Is(err, ErrIdempotentReplay):
 		// A retried submit: answer with the original admission
 		// response, 200 because nothing new was created.
 		writeJSON(w, http.StatusOK, st)
 	case errors.Is(err, ErrOverloaded):
-		w.Header().Set("Retry-After", strconv.FormatInt(h.core.RetryAfter(), 10))
+		w.Header().Set("Retry-After", strconv.FormatInt(retryAfter, 10))
 		writeError(w, err)
 	case err != nil:
 		writeError(w, err)
@@ -259,14 +337,24 @@ func (h *Handler) submit(w http.ResponseWriter, r *http.Request) {
 func (h *Handler) list(w http.ResponseWriter, r *http.Request) {
 	h.mu.Lock()
 	recs := h.core.Records()
+	c := h.applied()
 	h.mu.Unlock()
+	if err := h.durableRead(c); err != nil {
+		writeError(w, err)
+		return
+	}
 	writeJSON(w, http.StatusOK, recs)
 }
 
 func (h *Handler) status(w http.ResponseWriter, r *http.Request) {
 	h.mu.Lock()
 	st, err := h.core.Status(r.PathValue("id"))
+	c := h.applied()
 	h.mu.Unlock()
+	if cerr := h.durableRead(c); cerr != nil {
+		writeError(w, cerr)
+		return
+	}
 	if err != nil {
 		writeError(w, err)
 		return
@@ -275,18 +363,18 @@ func (h *Handler) status(w http.ResponseWriter, r *http.Request) {
 }
 
 func (h *Handler) cancel(w http.ResponseWriter, r *http.Request) {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	if err := h.acceptMutation(); err != nil {
-		writeError(w, err)
-		return
-	}
 	id := r.PathValue("id")
-	if err := h.record(Rec{Op: "cancel", ID: id}); err != nil {
-		writeError(w, err)
+	h.mu.Lock()
+	c, err := h.record(Rec{Op: "cancel", ID: id})
+	var st JobStatus
+	if err == nil {
+		st, err = h.core.Cancel(id)
+	}
+	h.mu.Unlock()
+	if cerr := h.durable(c); cerr != nil {
+		writeError(w, cerr)
 		return
 	}
-	st, err := h.core.Cancel(id)
 	if err != nil {
 		writeError(w, err)
 		return
@@ -315,47 +403,57 @@ func (h *Handler) advance(w http.ResponseWriter, r *http.Request) {
 		writeError(w, fmt.Errorf("%w: want exactly one of to or drain", ErrBadRequest))
 		return
 	}
+	rec := Rec{Op: "drain"}
+	if !req.Drain {
+		rec = Rec{Op: "advance", To: *req.To}
+	}
 	h.mu.Lock()
-	defer h.mu.Unlock()
-	if err := h.acceptMutation(); err != nil {
-		writeError(w, err)
-		return
-	}
-	if req.Drain {
-		if err := h.record(Rec{Op: "drain"}); err != nil {
-			writeError(w, err)
-			return
+	c, err := h.record(rec)
+	var now int64
+	if err == nil {
+		if req.Drain {
+			now = h.core.Drain()
+		} else if err = h.core.AdvanceTo(*req.To); err == nil {
+			now = h.core.Now()
 		}
-		now := h.core.Drain()
-		writeJSON(w, http.StatusOK, map[string]int64{"now": now})
+	}
+	h.mu.Unlock()
+	if cerr := h.durable(c); cerr != nil {
+		writeError(w, cerr)
 		return
 	}
-	if err := h.record(Rec{Op: "advance", To: *req.To}); err != nil {
+	if err != nil {
 		writeError(w, err)
 		return
 	}
-	if err := h.core.AdvanceTo(*req.To); err != nil {
-		writeError(w, err)
-		return
-	}
-	writeJSON(w, http.StatusOK, map[string]int64{"now": h.core.Now()})
+	writeJSON(w, http.StatusOK, map[string]int64{"now": now})
 }
 
 // fingerprint reports the canonical replay certificate of the served
 // core — the restart smoke compares this across a crash.
 func (h *Handler) fingerprint(w http.ResponseWriter, r *http.Request) {
 	h.mu.Lock()
-	defer h.mu.Unlock()
+	var fp string
+	var now int64
+	var ops int
+	var err error
 	if h.core.cfg.Obs == nil || h.core.cfg.Metrics == nil {
-		writeError(w, fmt.Errorf("%w: fingerprint needs tracing and metrics enabled", ErrBadRequest))
+		err = fmt.Errorf("%w: fingerprint needs tracing and metrics enabled", ErrBadRequest)
+	} else {
+		fp, err = Fingerprint(h.core.cfg.Obs.Events(), h.core.cfg.Metrics)
+		now, ops = h.core.Now(), h.journalFrames()
+	}
+	c := h.applied()
+	h.mu.Unlock()
+	if cerr := h.durableRead(c); cerr != nil {
+		writeError(w, cerr)
 		return
 	}
-	fp, err := Fingerprint(h.core.cfg.Obs.Events(), h.core.cfg.Metrics)
 	if err != nil {
 		writeError(w, err)
 		return
 	}
-	writeJSON(w, http.StatusOK, map[string]any{"fingerprint": fp, "now": h.core.Now(), "ops": h.journalFrames()})
+	writeJSON(w, http.StatusOK, map[string]any{"fingerprint": fp, "now": now, "ops": ops})
 }
 
 // journalFrames reports the journal depth, 0 without a journal.
@@ -369,7 +467,12 @@ func (h *Handler) journalFrames() int {
 func (h *Handler) summary(w http.ResponseWriter, r *http.Request) {
 	h.mu.Lock()
 	s := h.core.Summary()
+	c := h.applied()
 	h.mu.Unlock()
+	if err := h.durableRead(c); err != nil {
+		writeError(w, err)
+		return
+	}
 	writeJSON(w, http.StatusOK, s)
 }
 
@@ -379,7 +482,12 @@ func (h *Handler) summary(w http.ResponseWriter, r *http.Request) {
 func (h *Handler) obs(w http.ResponseWriter, r *http.Request) {
 	h.mu.Lock()
 	events := append([]obs.Event(nil), h.core.cfg.Obs.Events()...)
+	c := h.applied()
 	h.mu.Unlock()
+	if err := h.durableRead(c); err != nil {
+		writeError(w, err)
+		return
+	}
 	w.Header().Set("Content-Type", "application/jsonl")
 	if err := obs.WriteJSONL(w, events); err != nil {
 		// Headers are gone; the truncated body is the best signal left.
@@ -394,7 +502,12 @@ func (h *Handler) obs(w http.ResponseWriter, r *http.Request) {
 func (h *Handler) metrics(w http.ResponseWriter, r *http.Request) {
 	h.mu.Lock()
 	snaps := h.core.cfg.Metrics.Snapshot()
+	c := h.applied()
 	h.mu.Unlock()
+	if err := h.durableRead(c); err != nil {
+		writeError(w, err)
+		return
+	}
 	switch format := r.URL.Query().Get("format"); format {
 	case "", "prom":
 		w.Header().Set("Content-Type", "text/plain; version=0.0.4")

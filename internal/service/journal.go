@@ -94,28 +94,54 @@ func OpenJournal(dir string, opts JournalOptions) (*Journal, []Rec, *wal.Recover
 	}, recs, rec, nil
 }
 
-// Record journals one operation. It must run before the operation is
-// applied to the core: a crash after Record replays the op on
-// recovery; a crash before loses an op that never executed.
-func (jn *Journal) Record(r Rec) error {
+// Append journals one operation without waiting for it to be durable
+// and returns its mark for Commit. It must run before the operation is
+// applied to the core: a crash after Append may replay the op on
+// recovery; a crash before loses an op that never executed. Callers
+// serialize Append with Snapshot, Sync and Close; Commit may run
+// concurrently with all of them. After an error other than
+// ErrBadRequest the log may hold the record although the caller will
+// not apply it, so the caller must stop serving.
+func (jn *Journal) Append(r Rec) (int64, error) {
 	if err := r.validate(); err != nil {
-		return err
+		return 0, err
 	}
 	payload, err := json.Marshal(&r)
 	if err != nil {
-		return err
+		return 0, err
 	}
-	if err := jn.log.Append(payload); err != nil {
-		return err
+	mark, err := jn.log.Write(payload)
+	if err != nil {
+		return 0, err
 	}
 	jn.history = append(jn.history, payload)
 	jn.sinceSnap++
 	if jn.snapEvery > 0 && jn.sinceSnap >= jn.snapEvery {
 		if err := jn.Snapshot(); err != nil {
-			return err
+			return 0, err
 		}
 	}
-	return nil
+	return mark, nil
+}
+
+// Commit returns once the operation Append marked mark, and every one
+// before it, is durable under the fsync policy: under always it shares
+// one fsync with concurrent committers, under batch and off it returns
+// at once. Safe to call from any goroutine.
+func (jn *Journal) Commit(mark int64) error { return jn.log.Commit(mark) }
+
+// Mark returns the mark of the newest journaled operation: committing
+// it makes everything applied so far durable.
+func (jn *Journal) Mark() int64 { return jn.log.Written() }
+
+// Record journals one operation and returns once it is durable under
+// the fsync policy: Append followed by Commit.
+func (jn *Journal) Record(r Rec) error {
+	mark, err := jn.Append(r)
+	if err != nil {
+		return err
+	}
+	return jn.Commit(mark)
 }
 
 // Snapshot consolidates the full history into one snapshot file and

@@ -26,13 +26,23 @@
 // <= N and older snapshots are deleted and appends continue in
 // segment N+1.
 //
-// Durability policy (Options.Fsync): "always" fsyncs after every
-// append — an acknowledged append survives OS crash and power loss;
-// "batch" fsyncs every BatchEvery appends — bounded loss window,
-// amortized cost; "off" never fsyncs on the append path — process
-// crashes lose nothing (the page cache survives), OS crashes may lose
-// the unsynced tail. Completed segments and snapshots are always
-// synced before the log moves past them, whatever the policy.
+// Durability policy (Options.Fsync): under "always" a frame is durable
+// once Commit returns for its mark — an acknowledged append survives OS
+// crash and power loss. Write only writes; concurrent Commit callers
+// elect one leader at a time whose fsync covers every frame written
+// before it began (group commit), and a caller whose frame is already
+// covered returns without an fsync. "batch" fsyncs every BatchEvery
+// appends — bounded loss window, amortized cost; "off" never fsyncs on
+// the append path — process crashes lose nothing (the page cache
+// survives), OS crashes may lose the unsynced tail. Under batch and
+// off Commit returns at once. Completed segments and snapshots are
+// always synced before the log moves past them, whatever the policy.
+//
+// A failed write or fsync of the live segment is fail-stop: the log
+// keeps the first error and refuses every later write and commit. The
+// fsync is never retried, because after a failed fsync the kernel may
+// have dropped the dirty pages, and a retry that succeeds proves
+// nothing about them.
 package wal
 
 import (
@@ -48,6 +58,8 @@ import (
 	"sort"
 	"strconv"
 	"strings"
+	"sync"
+	"sync/atomic"
 
 	"fhs/internal/crashpoint"
 )
@@ -122,6 +134,10 @@ func (o Options) withDefaults() (Options, error) {
 // the interior of the log (only tails may be torn) or an unreadable
 // snapshot.
 var ErrCorrupt = errors.New("wal: corrupt log")
+
+// ErrStopped marks a write refused because an earlier write or fsync
+// fail-stopped the log; the error also wraps that first failure.
+var ErrStopped = errors.New("wal: log fail-stopped")
 
 // castagnoli is the CRC32C table; frames use the Castagnoli
 // polynomial for its hardware support and error-detection properties.
@@ -214,20 +230,38 @@ type Recovery struct {
 	TruncatedBytes int64
 }
 
-// Log is an open write-ahead log. It is single-owner, like the service
-// core it journals for: one goroutine appends (the HTTP layer already
-// serializes operations through the handler mutex).
+// Log is an open write-ahead log. Write, Append, Sync, Snapshot and
+// Close have one owner at a time, like the service core the log
+// journals for (the HTTP layer serializes operations through the
+// handler mutex). Commit, Written and Err are safe from any goroutine,
+// concurrently with the owner.
 type Log struct {
 	dir  string
 	opts Options
 
-	f        *os.File // live segment
-	seq      uint64   // live segment sequence number
-	size     int64    // live segment size
-	unsynced int      // appends since the last fsync
-	lastSnap uint64   // sequence of the newest snapshot, 0 if none
-	appended int64    // appends since Open (monitoring only)
+	// Owner state.
+	seq      uint64 // live segment sequence number
+	size     int64  // live segment size
+	lastSnap uint64 // sequence of the newest snapshot, 0 if none
 	closed   bool
+
+	// fmu guards the live segment: a syncer read-locks it for its
+	// fsync, and rotation, snapshots and Close write-lock it to swap
+	// the file.
+	fmu      sync.RWMutex
+	f        *os.File                      // live segment, nil once closed
+	syncHook func(sync func() error) error // wraps every fsync of f when set
+
+	// smu guards syncing: one syncer at a time runs an fsync, a
+	// group-commit leader or the owner sealing a segment, and the
+	// others wait on synced for it to finish.
+	smu     sync.Mutex
+	synced  *sync.Cond // on smu; broadcast when an fsync finishes
+	syncing bool       // an fsync is in flight
+
+	written atomic.Int64          // frames written since Open; a frame's mark is the count after it
+	durable atomic.Int64          // frames on stable storage; only the running syncer stores it
+	failed  atomic.Pointer[error] // the first write or fsync error; the log is fail-stopped once set
 }
 
 const (
@@ -289,6 +323,7 @@ func Open(dir string, opts Options) (*Log, *Recovery, error) {
 	sort.Slice(snaps, func(i, j int) bool { return snaps[i] < snaps[j] })
 
 	l := &Log{dir: dir, opts: opts}
+	l.synced = sync.NewCond(&l.smu)
 	rec := &Recovery{}
 
 	// Restore the newest snapshot, if any. Snapshots are written
@@ -345,15 +380,42 @@ func Open(dir string, opts Options) (*Log, *Recovery, error) {
 	next := l.lastSnap + 1
 	if len(live) > 0 {
 		next = live[len(live)-1]
+		// The crashed process may have written frames it never synced.
+		// They are history now, and a reader may see them, so they
+		// must not be lost to a later power failure.
+		if opts.Fsync != FsyncOff {
+			if err := syncPath(filepath.Join(dir, segName(next))); err != nil {
+				return nil, nil, err
+			}
+		}
 	}
 	path := filepath.Join(dir, segName(next))
 	if st, err := os.Stat(path); err == nil && st.Size() >= opts.SegmentBytes {
 		next++
 	}
-	if err := l.openSegment(next); err != nil {
+	f, size, err := l.openSegment(next)
+	if err != nil {
 		return nil, nil, err
 	}
+	l.f, l.seq, l.size = f, next, size
 	return l, rec, nil
+}
+
+// syncPath fsyncs one file.
+func syncPath(path string) (err error) {
+	f, oerr := os.OpenFile(path, os.O_WRONLY, 0)
+	if oerr != nil {
+		return fmt.Errorf("wal: %w", oerr)
+	}
+	defer func() {
+		if cerr := f.Close(); cerr != nil {
+			err = errors.Join(err, fmt.Errorf("wal: %w", cerr))
+		}
+	}()
+	if serr := f.Sync(); serr != nil {
+		return fmt.Errorf("wal: %w", serr)
+	}
+	return nil
 }
 
 // readSnapshot loads and fully validates one snapshot file.
@@ -400,97 +462,225 @@ func truncateFile(path string, size int64) (err error) {
 	return nil
 }
 
-// openSegment opens segment seq for appending, creating it if needed.
-func (l *Log) openSegment(seq uint64) error {
+// openSegment opens segment seq for appending, creating it if needed,
+// and returns it with its size.
+func (l *Log) openSegment(seq uint64) (*os.File, int64, error) {
 	f, err := os.OpenFile(filepath.Join(l.dir, segName(seq)), os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
 	if err != nil {
-		return fmt.Errorf("wal: %w", err)
+		return nil, 0, fmt.Errorf("wal: %w", err)
 	}
 	st, err := f.Stat()
 	if err != nil {
-		return errors.Join(fmt.Errorf("wal: %w", err), f.Close())
+		return nil, 0, errors.Join(fmt.Errorf("wal: %w", err), f.Close())
 	}
-	l.f, l.seq, l.size, l.unsynced = f, seq, st.Size(), 0
 	// Make the segment's existence durable: an appended-then-lost
 	// file is indistinguishable from a truncated log.
 	if l.opts.Fsync != FsyncOff {
 		if err := syncDir(l.dir); err != nil {
-			return err
+			return nil, 0, errors.Join(err, f.Close())
 		}
 	}
-	return nil
+	return f, st.Size(), nil
+}
+
+// swap makes f the live segment and returns the previous one, which
+// the caller closes. It waits for a syncer's fsync of the old file.
+func (l *Log) swap(f *os.File) *os.File {
+	l.fmu.Lock()
+	defer l.fmu.Unlock()
+	old := l.f
+	l.f = f
+	return old
 }
 
 // Dir returns the log directory.
 func (l *Log) Dir() string { return l.dir }
 
-// Appended returns the number of appends since Open.
-func (l *Log) Appended() int64 { return l.appended }
+// Written returns the mark of the newest frame written: Commit of it
+// makes every frame written so far durable.
+func (l *Log) Written() int64 { return l.written.Load() }
 
-// Append writes one framed payload to the live segment, applies the
-// fsync policy, and rotates the segment when it is full. The payload
-// must be a single line.
-func (l *Log) Append(payload []byte) error {
-	if l.closed {
-		return fmt.Errorf("wal: append to a closed log")
-	}
-	frame, err := EncodeFrame(payload)
-	if err != nil {
-		return err
-	}
-	cpAppendBeforeWrite.Hit()
-	if _, err := l.f.Write(frame); err != nil {
-		return fmt.Errorf("wal: %w", err)
-	}
-	cpAppendAfterWrite.Hit()
-	l.size += int64(len(frame))
-	l.appended++
-	l.unsynced++
-	switch l.opts.Fsync {
-	case FsyncAlways:
-		if err := l.Sync(); err != nil {
-			return err
-		}
-		cpAppendAfterSync.Hit()
-	case FsyncBatch:
-		if l.unsynced >= l.opts.BatchEvery {
-			if err := l.Sync(); err != nil {
-				return err
-			}
-			cpAppendAfterSync.Hit()
-		}
-	}
-	if l.size >= l.opts.SegmentBytes {
-		if err := l.rotate(); err != nil {
-			return err
-		}
+// Err returns the error that fail-stopped the log, nil while it is
+// healthy.
+func (l *Log) Err() error {
+	if p := l.failed.Load(); p != nil {
+		return *p
 	}
 	return nil
 }
 
-// Sync flushes the live segment to stable storage.
+// fail fail-stops the log with err, keeping the first error, and
+// returns err.
+func (l *Log) fail(err error) error {
+	l.failed.CompareAndSwap(nil, &err)
+	return err
+}
+
+// SetSyncHook makes every fsync of the live segment run through hook,
+// which must call sync and return its error or one of its own. Tests
+// use it to count and order fsyncs and to inject fsync failures. The
+// hook runs with the live segment read-locked, so it must not call
+// back into the log.
+func (l *Log) SetSyncHook(hook func(sync func() error) error) {
+	l.fmu.Lock()
+	defer l.fmu.Unlock()
+	l.syncHook = hook
+}
+
+// Append writes one framed payload and, under FsyncAlways, waits until
+// it is durable: Write followed by Commit.
+func (l *Log) Append(payload []byte) error {
+	mark, err := l.Write(payload)
+	if err != nil {
+		return err
+	}
+	return l.Commit(mark)
+}
+
+// Write writes one framed payload to the live segment, applies the
+// batch fsync policy, rotates the segment when it is full, and returns
+// the frame's mark for Commit. Under FsyncAlways the frame is not yet
+// durable. The payload must be a single line. An error after the frame
+// reached the file fail-stops the log, since the caller will not apply
+// an operation the log now holds.
+func (l *Log) Write(payload []byte) (int64, error) {
+	if l.closed {
+		return 0, fmt.Errorf("wal: append to a closed log")
+	}
+	if err := l.Err(); err != nil {
+		return 0, fmt.Errorf("%w: %w", ErrStopped, err)
+	}
+	frame, err := EncodeFrame(payload)
+	if err != nil {
+		return 0, err
+	}
+	cpAppendBeforeWrite.Hit()
+	l.fmu.RLock()
+	_, err = l.f.Write(frame)
+	l.fmu.RUnlock()
+	if err != nil {
+		// Part of the frame may be on file; a later frame behind it
+		// would be lost to recovery's truncation.
+		return 0, l.fail(fmt.Errorf("wal: %w", err))
+	}
+	cpAppendAfterWrite.Hit()
+	l.size += int64(len(frame))
+	mark := l.written.Add(1)
+	if l.opts.Fsync == FsyncBatch && mark-l.durable.Load() >= int64(l.opts.BatchEvery) {
+		if err := l.Sync(); err != nil {
+			return 0, err
+		}
+		cpAppendAfterSync.Hit()
+	}
+	if l.size >= l.opts.SegmentBytes {
+		if err := l.rotate(); err != nil {
+			return 0, l.fail(err)
+		}
+	}
+	return mark, nil
+}
+
+// Commit returns once the frame with the given mark is durable. Under
+// FsyncAlways the caller joins a group commit: one caller at a time
+// runs an fsync, which covers every frame written before it began, and
+// a caller whose frame an earlier fsync covered returns without one.
+// Under batch and off Commit returns at once. A failed fsync
+// fail-stops the log: its error is returned to every caller whose
+// frame is not yet durable, now and later.
+func (l *Log) Commit(mark int64) error {
+	if l.opts.Fsync != FsyncAlways || l.durable.Load() >= mark {
+		return nil
+	}
+	synced, err := l.syncTo(mark)
+	if synced {
+		cpAppendAfterSync.Hit()
+	}
+	return err
+}
+
+// Sync makes every frame written so far durable.
 func (l *Log) Sync() error {
 	if l.closed {
 		return nil
 	}
-	if err := l.f.Sync(); err != nil {
-		return fmt.Errorf("wal: %w", err)
+	_, err := l.syncTo(l.written.Load())
+	return err
+}
+
+// syncTo returns once the frames up to mark are durable and reports
+// whether it ran the fsync that made them so. While another syncer's
+// fsync is in flight it waits for it, since that fsync may cover mark.
+// The fsync runs without smu, so syncers queue on smu only briefly,
+// and only one runs at a time, so durable only grows.
+func (l *Log) syncTo(mark int64) (bool, error) {
+	l.smu.Lock()
+	for l.syncing && l.durable.Load() < mark {
+		l.synced.Wait()
 	}
-	l.unsynced = 0
-	return nil
+	// The loop leaves either mark covered or no fsync in flight.
+	lead := l.durable.Load() < mark && l.Err() == nil
+	if lead {
+		l.syncing = true
+	}
+	l.smu.Unlock()
+	if !lead {
+		if l.durable.Load() >= mark {
+			return false, nil
+		}
+		return false, l.Err()
+	}
+
+	covers, err := l.fsync()
+
+	l.smu.Lock()
+	if err != nil {
+		l.fail(err)
+	} else {
+		l.durable.Store(covers)
+	}
+	l.syncing = false
+	l.synced.Broadcast()
+	l.smu.Unlock()
+	return err == nil, err
+}
+
+// fsync syncs the live segment, through the sync hook when one is set,
+// and returns the frames it covers: every frame whose write returned
+// before it began.
+func (l *Log) fsync() (int64, error) {
+	l.fmu.RLock()
+	defer l.fmu.RUnlock()
+	if l.f == nil {
+		return 0, fmt.Errorf("wal: sync of a closed log")
+	}
+	covers := l.written.Load()
+	sync := func() error { return l.f.Sync() }
+	var err error
+	if l.syncHook != nil {
+		err = l.syncHook(sync)
+	} else {
+		err = sync()
+	}
+	if err != nil {
+		return 0, fmt.Errorf("wal: %w", err)
+	}
+	return covers, nil
 }
 
 // rotate seals the live segment (always synced, whatever the policy)
 // and opens the next one.
 func (l *Log) rotate() error {
-	if err := l.f.Sync(); err != nil {
-		return fmt.Errorf("wal: %w", err)
-	}
-	if err := l.f.Close(); err != nil {
-		return fmt.Errorf("wal: %w", err)
-	}
-	if err := l.openSegment(l.seq + 1); err != nil {
+	if err := l.Sync(); err != nil {
 		return err
+	}
+	f, size, err := l.openSegment(l.seq + 1)
+	if err != nil {
+		return err
+	}
+	old := l.swap(f)
+	l.seq, l.size = l.seq+1, size
+	if err := old.Close(); err != nil {
+		return fmt.Errorf("wal: %w", err)
 	}
 	cpRotateAfterOpen.Hit()
 	return nil
@@ -507,8 +697,8 @@ func (l *Log) Snapshot(payloads [][]byte) error {
 	}
 	// Seal the live segment first: the snapshot supersedes it, and a
 	// crash mid-snapshot must leave a recoverable segment chain.
-	if err := l.f.Sync(); err != nil {
-		return fmt.Errorf("wal: %w", err)
+	if err := l.Sync(); err != nil {
+		return err
 	}
 
 	seq := l.seq
@@ -527,20 +717,28 @@ func (l *Log) Snapshot(payloads [][]byte) error {
 	cpSnapAfterRename.Hit()
 
 	// Compaction: everything the snapshot covers is redundant. A crash
-	// in here leaves stale files that the next Open removes.
+	// in here leaves stale files that the next Open removes. From here
+	// on the log has no live segment until the next one opens, so an
+	// error fail-stops it.
 	prevSnap := l.lastSnap
 	l.lastSnap = seq
 	if prevSnap > 0 {
 		_ = os.Remove(filepath.Join(l.dir, snapName(prevSnap)))
 	}
-	if err := l.f.Close(); err != nil {
-		return fmt.Errorf("wal: %w", err)
+	if err := l.swap(nil).Close(); err != nil {
+		return l.fail(fmt.Errorf("wal: %w", err))
 	}
 	for s := prevSnap + 1; s <= seq; s++ {
 		_ = os.Remove(filepath.Join(l.dir, segName(s)))
 	}
 	cpSnapAfterCompact.Hit()
-	return l.openSegment(seq + 1)
+	f, size, err := l.openSegment(seq + 1)
+	if err != nil {
+		return l.fail(err)
+	}
+	l.swap(f)
+	l.seq, l.size = seq+1, size
+	return nil
 }
 
 // writeSnapshotTmp writes the framed snapshot header and payloads to
@@ -595,11 +793,12 @@ func (l *Log) Close() error {
 	if l.closed {
 		return nil
 	}
+	err := l.Sync()
 	l.closed = true
-	if err := l.f.Sync(); err != nil {
-		return errors.Join(fmt.Errorf("wal: %w", err), l.f.Close())
+	if cerr := l.swap(nil).Close(); cerr != nil {
+		err = errors.Join(err, fmt.Errorf("wal: %w", cerr))
 	}
-	return l.f.Close()
+	return err
 }
 
 // syncDir fsyncs a directory so renames and file creations within it

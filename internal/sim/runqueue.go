@@ -33,6 +33,12 @@ type RadixHeap struct {
 	n       int
 	buckets [65][]radixEntry
 	due     []dag.TaskID // PopAt's result buffer
+
+	// Min's scan of the lowest non-empty bucket, kept for PopAt until
+	// the heap changes.
+	minOK     bool
+	minBucket int
+	minTime   int64
 }
 
 // minBucket is the capacity a bucket starts with.
@@ -40,7 +46,7 @@ const minBucket = 16
 
 // Reset empties the heap, keeping its storage.
 func (q *RadixHeap) Reset() {
-	q.last, q.n = 0, 0
+	q.last, q.n, q.minOK = 0, 0, false
 	for i := range q.buckets {
 		q.buckets[i] = q.buckets[i][:0]
 	}
@@ -55,11 +61,15 @@ func (q *RadixHeap) Push(t int64, id dag.TaskID) {
 	}
 	q.buckets[b] = append(q.buckets[b], radixEntry{t, id})
 	q.n++
+	q.minOK = false
 }
 
 // first returns the index of the lowest non-empty bucket and its
 // earliest time. The heap must not be empty.
 func (q *RadixHeap) first() (int, int64) {
+	if q.minOK {
+		return q.minBucket, q.minTime
+	}
 	i := 0
 	for len(q.buckets[i]) == 0 {
 		i++
@@ -72,6 +82,7 @@ func (q *RadixHeap) first() (int, int64) {
 	for _, e := range b[1:] {
 		m = min(m, e.t)
 	}
+	q.minOK, q.minBucket, q.minTime = true, i, m
 	return i, m
 }
 
@@ -99,6 +110,7 @@ func (q *RadixHeap) PopAt(t int64) []dag.TaskID {
 	if m != t {
 		return q.due
 	}
+	q.minOK = false
 	if i > 0 {
 		// The new last agrees with the old one above bit i−1, so only
 		// bucket i's entries change bucket, and all move lower.
@@ -140,5 +152,6 @@ func (q *RadixHeap) removeVictim(g *dag.Graph, alpha dag.Type) (int64, dag.TaskI
 	s[vi] = s[len(s)-1]
 	q.buckets[vb] = s[:len(s)-1]
 	q.n--
+	q.minOK = false
 	return v.t, v.id
 }
