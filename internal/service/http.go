@@ -180,7 +180,8 @@ func (h *Handler) readyz(w http.ResponseWriter, r *http.Request) {
 }
 
 // commit is the journal prefix a response reflects. The response is
-// written only once that prefix is durable.
+// written only once that prefix is durable. It carries the journal read
+// under h.mu, so the wait after unlocking touches no guarded field.
 type commit struct {
 	jn   *Journal // nil: nothing to wait for
 	mark int64
